@@ -3,9 +3,9 @@
 Exit status is 0 on success, 1 on a runtime failure (bad config, bad
 candidate file, I/O), and 2 on a usage error.  Output files are written
 with fixed formatting and ordering so identical invocations produce
-byte-identical bytes; the IRS_PLANNER_THREADS environment variable caps
-sweep parallelism without affecting results (0 or unset means all
-cores).
+byte-identical bytes.  The IRS_PLANNER_THREADS environment variable is
+still validated (0, unset or a positive integer) but starts no threads:
+sweeps are scored in batches on one thread.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .coverage import map_to_csv, sinr_map_conventional, sinr_map_irs
+from .coverage import format_value, map_to_csv, sinr_map_conventional, sinr_map_irs
 from .linkbudget import Position3D
 from .placement import (
     ComparisonReport,
@@ -101,26 +101,20 @@ def _write_output(text: str, out: str | None) -> None:
         handle.write(text.encode("utf-8"))
 
 
-def _format_value(value: float) -> str:
-    if value == -math.inf:
-        return "-inf"
-    return repr(float(value))
-
-
 def _comparison_csv(report: ComparisonReport) -> str:
     rows = [
-        ("conventional_power_w", _format_value(report.conventional_power)),
-        ("irs_power_w", _format_value(report.irs_power)),
-        ("power_reduction_fraction", _format_value(report.power_reduction_fraction)),
-        ("irs_x_m", _format_value(report.irs_position.x)),
-        ("irs_y_m", _format_value(report.irs_position.y)),
-        ("irs_z_m", _format_value(report.irs_position.z)),
-        ("conventional_edge_min_db", _format_value(report.conventional_edge.min_db)),
-        ("conventional_edge_mean_db", _format_value(report.conventional_edge.mean_db)),
-        ("conventional_edge_max_db", _format_value(report.conventional_edge.max_db)),
-        ("irs_edge_min_db", _format_value(report.irs_edge.min_db)),
-        ("irs_edge_mean_db", _format_value(report.irs_edge.mean_db)),
-        ("irs_edge_max_db", _format_value(report.irs_edge.max_db)),
+        ("conventional_power_w", format_value(report.conventional_power)),
+        ("irs_power_w", format_value(report.irs_power)),
+        ("power_reduction_fraction", format_value(report.power_reduction_fraction)),
+        ("irs_x_m", format_value(report.irs_position.x)),
+        ("irs_y_m", format_value(report.irs_position.y)),
+        ("irs_z_m", format_value(report.irs_position.z)),
+        ("conventional_edge_min_db", format_value(report.conventional_edge.min_db)),
+        ("conventional_edge_mean_db", format_value(report.conventional_edge.mean_db)),
+        ("conventional_edge_max_db", format_value(report.conventional_edge.max_db)),
+        ("irs_edge_min_db", format_value(report.irs_edge.min_db)),
+        ("irs_edge_mean_db", format_value(report.irs_edge.mean_db)),
+        ("irs_edge_max_db", format_value(report.irs_edge.max_db)),
     ]
     return "key,value\n" + "\n".join(f"{key},{value}" for key, value in rows) + "\n"
 

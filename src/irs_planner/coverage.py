@@ -23,6 +23,8 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 SENTINEL_DB = -math.inf
+# array elements per batch of panel positions scored on the cell edge
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -130,15 +132,8 @@ def cell_edge_points(
     extent: CellExtent, resolution: float, user_height: float
 ) -> list[Position3D]:
     """The perimeter subset of build_grid, in grid order."""
-    nx, ny = grid_shape(extent, resolution)
-    points = []
-    for j in range(ny):
-        y = extent.origin_y + j * resolution
-        for i in range(nx):
-            if j == 0 or j == ny - 1 or i == 0 or i == nx - 1:
-                x = extent.origin_x + i * resolution
-                points.append(Position3D(x, y, user_height))
-    return points
+    x, y = _perimeter(extent, resolution)
+    return [Position3D(px, py, user_height) for px, py in zip(x.tolist(), y.tolist())]
 
 
 def _grid_axes(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,6 +141,26 @@ def _grid_axes(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.nd
     xs = extent.origin_x + resolution * np.arange(nx, dtype=np.float64)
     ys = extent.origin_y + resolution * np.arange(ny, dtype=np.float64)
     return xs, ys
+
+
+def _lattice(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of every lattice point, flat and row-major."""
+    x, y = np.meshgrid(*_grid_axes(extent, resolution))
+    return x.reshape(-1), y.reshape(-1)
+
+
+def _perimeter(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the lattice perimeter in grid order.
+
+    That is the first row, both ends of each inner row, then the last
+    row; grid_shape guarantees at least two rows and two columns.
+    """
+    xs, ys = _grid_axes(extent, resolution)
+    inner = ys[1:-1]
+    x = np.concatenate([xs, np.tile(xs[[0, -1]], len(inner)), xs])
+    y = np.concatenate([np.full(len(xs), ys[0]), np.repeat(inner, 2), np.full(len(xs), ys[-1])])
+    return x, y
+
 
 def _interference_grid(
     scenario: "Scenario", x: np.ndarray, y: np.ndarray
@@ -171,12 +186,88 @@ def _interference_grid(
     return total, dead
 
 
-def _finish_map(
+def _direct_signal(
+    scenario: "Scenario", x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power served directly by the base station, and the points on it."""
+    bs = scenario.micro_bs_position
+    wl = scenario.env.wavelength
+    d = np.sqrt(
+        (x - bs.x) ** 2 + (y - bs.y) ** 2 + (scenario.user_height - bs.z) ** 2
+    )
+    dead = d == 0.0
+    with np.errstate(divide="ignore"):
+        signal = scenario.micro_power_conventional * wl ** 2 / (
+            d ** scenario.env.pathloss_exponent_micro * 16.0 * math.pi ** 2
+        )
+    return np.where(dead, 0.0, signal), dead
+
+
+def _reflected_signal(
+    scenario: "Scenario",
+    positions: Sequence[Position3D],
+    r1: Sequence[float],
+    x: np.ndarray,
+    y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power served through the panel at each of K positions, shape (K, points).
+
+    `r1` holds each position's nonzero hop length from the base station.
+    Per-position scalars such as (user_height - z) ** 2 stay Python
+    floats, because numpy's power can differ from Python's in the last
+    bit, and every array operation is elementwise, so a value does not
+    depend on the batch it is computed in.  Geometric-mode panels zero
+    out points behind the surface.  Also returns the mask of points on a
+    panel.
+    """
+    panel = scenario.panel
+    bs = scenario.micro_bs_position
+    hop = np.array(r1)[:, None]
+    dx = x - np.array([p.x for p in positions])[:, None]
+    dy = y - np.array([p.y for p in positions])[:, None]
+    dz = [scenario.user_height - p.z for p in positions]
+    r2 = np.sqrt(dx ** 2 + dy ** 2 + np.array([d ** 2 for d in dz])[:, None])
+    dead = r2 == 0.0
+    mode = panel.angle_mode
+    if isinstance(mode, FixedAngles):
+        cos_t: np.ndarray | float = math.cos(mode.theta_t)
+        cos_r: np.ndarray | float = math.cos(mode.theta_r)
+    else:
+        n0, n1, n2 = mode.normal
+        # a base station behind the panel gets no reflected power anywhere
+        cos_t = np.array([
+            max(((bs.x - p.x) * n0 + (bs.y - p.y) * n1 + (bs.z - p.z) * n2) / r, 0.0)
+            for p, r in zip(positions, r1)
+        ])[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos_r = (dx * n0 + dy * n1 + np.array(dz)[:, None] * n2) / r2
+        cos_r = np.where(dead | (cos_r < 0.0), 0.0, cos_r)
+    wl = scenario.env.wavelength
+    g_sc = element_scatter_gain(panel.element_len_x, panel.element_len_y, wl)
+    gain = (
+        scenario.micro_power_irs
+        * wl ** 2
+        * panel.reflection_coefficient ** 2
+        * g_sc
+        * panel.gain_tx
+        * panel.gain_rx
+        * panel.element_len_x
+        * panel.element_len_y
+        * panel.elements_m ** 2
+        * panel.elements_n ** 2
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        signal = gain * cos_t * cos_r / ((hop * r2) ** 2 * 64.0 * math.pi ** 3)
+    return np.where(dead, 0.0, signal), dead
+
+
+def _sinr_db(
     scenario: "Scenario",
     signal: np.ndarray,
     interference: np.ndarray,
     dead: np.ndarray,
-) -> SinrMap:
+) -> np.ndarray:
+    """SINR in dB, with the sentinel at zero signal and at dead points."""
     with np.errstate(divide="ignore"):
         linear = signal / (interference + scenario.env.noise_power)
         db = np.where(linear > 0.0, 10.0 * np.log10(np.where(linear > 0.0, linear, 1.0)), SENTINEL_DB)
@@ -188,6 +279,10 @@ def _finish_map(
             stacklevel=3,
         )
         db = np.where(dead, SENTINEL_DB, db)
+    return db
+
+
+def _as_map(scenario: "Scenario", db: np.ndarray) -> SinrMap:
     return SinrMap(
         extent=scenario.micro_extent,
         resolution=scenario.grid_resolution,
@@ -198,21 +293,10 @@ def _finish_map(
 
 def sinr_map_conventional(scenario: "Scenario") -> SinrMap:
     """SINR map served directly by the small-cell base station."""
-    xs, ys = _grid_axes(scenario.micro_extent, scenario.grid_resolution)
-    x, y = np.meshgrid(xs, ys)
-    bs = scenario.micro_bs_position
-    wl = scenario.env.wavelength
-    d = np.sqrt(
-        (x - bs.x) ** 2 + (y - bs.y) ** 2 + (scenario.user_height - bs.z) ** 2
-    )
-    dead = d == 0.0
-    with np.errstate(divide="ignore"):
-        signal = scenario.micro_power_conventional * wl ** 2 / (
-            d ** scenario.env.pathloss_exponent_micro * 16.0 * math.pi ** 2
-        )
-    signal = np.where(dead, 0.0, signal)
+    x, y = _lattice(scenario.micro_extent, scenario.grid_resolution)
+    signal, dead = _direct_signal(scenario, x, y)
     interference, dead_i = _interference_grid(scenario, x, y)
-    return _finish_map(scenario, signal, interference, dead | dead_i)
+    return _as_map(scenario, _sinr_db(scenario, signal, interference, dead | dead_i))
 
 
 def sinr_map_irs(scenario: "Scenario") -> SinrMap:
@@ -222,51 +306,14 @@ def sinr_map_irs(scenario: "Scenario") -> SinrMap:
     panels zero out points behind the surface; a panel coincident with
     the base station is a malformed scenario and raises.
     """
-    panel = scenario.panel
-    bs = scenario.micro_bs_position
-    r1 = distance(bs, panel.position)
+    position = scenario.panel.position
+    r1 = distance(scenario.micro_bs_position, position)
     if r1 == 0.0:
         raise ValueError("panel position coincides with the base station")
-    xs, ys = _grid_axes(scenario.micro_extent, scenario.grid_resolution)
-    x, y = np.meshgrid(xs, ys)
-    pos = panel.position
-    dx = x - pos.x
-    dy = y - pos.y
-    dz = scenario.user_height - pos.z
-    r2 = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
-    dead = r2 == 0.0
-    mode = panel.angle_mode
-    if isinstance(mode, FixedAngles):
-        cos_t: float = math.cos(mode.theta_t)
-        cos_r: np.ndarray | float = math.cos(mode.theta_r)
-    else:
-        n0, n1, n2 = mode.normal
-        cos_t = ((bs.x - pos.x) * n0 + (bs.y - pos.y) * n1 + (bs.z - pos.z) * n2) / r1
-        if cos_t < 0.0:
-            cos_t = 0.0  # base station behind the panel: no reflected power anywhere
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos_r = (dx * n0 + dy * n1 + dz * n2) / r2
-        cos_r = np.where(dead | (cos_r < 0.0), 0.0, cos_r)
-    wl = scenario.env.wavelength
-    g_sc = element_scatter_gain(panel.element_len_x, panel.element_len_y, wl)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        signal = (
-            scenario.micro_power_irs
-            * wl ** 2
-            * panel.reflection_coefficient ** 2
-            * g_sc
-            * panel.gain_tx
-            * panel.gain_rx
-            * panel.element_len_x
-            * panel.element_len_y
-            * panel.elements_m ** 2
-            * panel.elements_n ** 2
-            * cos_t
-            * cos_r
-        ) / ((r1 * r2) ** 2 * 64.0 * math.pi ** 3)
-    signal = np.where(dead, 0.0, signal)
+    x, y = _lattice(scenario.micro_extent, scenario.grid_resolution)
+    signal, dead = _reflected_signal(scenario, [position], [r1], x, y)
     interference, dead_i = _interference_grid(scenario, x, y)
-    return _finish_map(scenario, signal, interference, dead | dead_i)
+    return _as_map(scenario, _sinr_db(scenario, signal, interference, dead | dead_i))
 
 
 def _lattice_index(sinr_map: SinrMap, point: Position3D) -> int:
@@ -284,16 +331,10 @@ def _lattice_index(sinr_map: SinrMap, point: Position3D) -> int:
     return j * nx + i
 
 
-def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
-    """Min, linear-domain mean, and max SINR over the given edge points.
-
-    Every point must fall on the map lattice.  The mean is accumulated
-    with exact summation in the linear domain and converted back to dB,
-    so it is reproducible across platforms and point orderings.
-    """
-    if len(edge) == 0:
-        raise ValueError("edge point set must not be empty")
-    values = [float(sinr_map.values[_lattice_index(sinr_map, p)]) for p in edge]
+def _summarize(values: list[float]) -> EdgeStats:
+    """Min, linear-domain mean and max of SINR values in dB."""
+    # Python's ** (libm pow), not numpy's vectorized power, which differs
+    # in the last bit on some inputs and would change the output bytes
     linear = [10.0 ** (v / 10.0) for v in values]
     mean_linear = math.fsum(linear) / len(linear)
     mean_db = 10.0 * math.log10(mean_linear) if mean_linear > 0.0 else SENTINEL_DB
@@ -309,7 +350,64 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
     )
 
 
-def _format_value(value: float) -> str:
+def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
+    """Min, linear-domain mean, and max SINR over the given edge points.
+
+    Every point must fall on the map lattice.  The mean is accumulated
+    with exact summation in the linear domain and converted back to dB,
+    so it is reproducible across platforms and point orderings.
+    """
+    if len(edge) == 0:
+        raise ValueError("edge point set must not be empty")
+    return _summarize([float(sinr_map.values[_lattice_index(sinr_map, p)]) for p in edge])
+
+
+def edge_stats_direct(scenario: "Scenario") -> EdgeStats:
+    """Cell-edge statistics of direct service, computed on the perimeter only.
+
+    Equal to edge_stats(sinr_map_conventional(scenario), cell_edge_points(...))
+    without computing the map.
+    """
+    x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
+    signal, dead = _direct_signal(scenario, x, y)
+    interference, dead_i = _interference_grid(scenario, x, y)
+    return _summarize(_sinr_db(scenario, signal, interference, dead | dead_i).tolist())
+
+
+def edge_stats_reflected(
+    scenario: "Scenario", positions: Sequence[Position3D]
+) -> list[EdgeStats]:
+    """Cell-edge statistics of panel-assisted service, one per panel position.
+
+    Each entry equals edge_stats(sinr_map_irs(...), cell_edge_points(...))
+    with the panel moved to that position, but only the perimeter is
+    computed.  Interference at the perimeter is computed once, then the
+    positions are scored in chunks of at most _CHUNK_ELEMENTS array
+    elements, so memory stays bounded however many positions there are.
+    A position on the base station raises ValueError before any scoring.
+    """
+    r1 = [distance(scenario.micro_bs_position, p) for p in positions]
+    if 0.0 in r1:
+        k = r1.index(0.0)
+        p = positions[k]
+        raise ValueError(
+            f"candidate {k} (counting from 0) at ({p.x!r}, {p.y!r}, {p.z!r}) "
+            "coincides with the base station"
+        )
+    x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
+    interference, dead_i = _interference_grid(scenario, x, y)
+    chunk = max(1, _CHUNK_ELEMENTS // len(x))
+    stats = []
+    for start in range(0, len(positions), chunk):
+        stop = start + chunk
+        signal, dead = _reflected_signal(scenario, positions[start:stop], r1[start:stop], x, y)
+        db = _sinr_db(scenario, signal, interference, dead | dead_i)
+        stats.extend(_summarize(row.tolist()) for row in db)
+    return stats
+
+
+def format_value(value: float) -> str:
+    """Shortest round-trip decimal form of a float; the sentinel is -inf."""
     if value == -math.inf:
         return "-inf"
     return repr(float(value))
@@ -331,7 +429,7 @@ def map_to_csv(sinr_map: SinrMap) -> str:
         for i in range(nx):
             x = extent.origin_x + i * res
             lines.append(
-                f"{_format_value(x)},{_format_value(y)},{_format_value(sinr_map.values[idx])}"
+                f"{format_value(x)},{format_value(y)},{format_value(sinr_map.values[idx])}"
             )
             idx += 1
     return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Candidate enumeration, placement ranking, and model comparison.
 
 A placement run moves the panel across a candidate set, scores each
-position by a cell-edge statistic of the reflected-path SINR map, and
+position by a cell-edge statistic of the reflected-path SINR, and
 ranks candidates best-first.  Ties break by distance from the service
 area's ground center, then by coordinates, so rankings are total and
 reproducible.
@@ -10,19 +10,17 @@ reproducible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .coverage import (
     CellExtent,
     EdgeStats,
-    cell_edge_points,
-    edge_stats,
-    sinr_map_conventional,
-    sinr_map_irs,
+    edge_stats_direct,
+    edge_stats_reflected,
+    format_value,
 )
 from .linkbudget import Position3D, distance
-from .scenario import Objective, Scenario, with_panel_position
+from .scenario import Objective, Scenario
 
 
 @dataclass(frozen=True)
@@ -108,23 +106,20 @@ def _objective_value(stats: EdgeStats, objective: Objective) -> float:
     return stats.min_db if objective is Objective.EDGE_MIN else stats.mean_db
 
 
+def _result(position: Position3D, stats: EdgeStats, objective: Objective) -> PlacementResult:
+    return PlacementResult(
+        irs_position=position,
+        objective_db=_objective_value(stats, objective),
+        edge=stats,
+    )
+
+
 def evaluate_placement(
     scenario: Scenario, irs_position: Position3D, objective: Objective
 ) -> PlacementResult:
     """Score one panel position by the requested cell-edge statistic."""
-    if distance(scenario.micro_bs_position, irs_position) == 0.0:
-        raise ValueError("candidate position coincides with the base station")
-    candidate = with_panel_position(scenario, irs_position)
-    sinr_map = sinr_map_irs(candidate)
-    edge = cell_edge_points(
-        scenario.micro_extent, scenario.grid_resolution, scenario.user_height
-    )
-    stats = edge_stats(sinr_map, edge)
-    return PlacementResult(
-        irs_position=irs_position,
-        objective_db=_objective_value(stats, objective),
-        edge=stats,
-    )
+    [stats] = edge_stats_reflected(scenario, [irs_position])
+    return _result(irs_position, stats, objective)
 
 
 def optimize_placement(
@@ -135,18 +130,18 @@ def optimize_placement(
 ) -> list[PlacementResult]:
     """Rank every candidate, best objective first.
 
-    Candidates are independent, so evaluation may fan out over threads;
-    the ranking never depends on worker count.  Ties order by distance
-    from the service area's ground center, then by (x, y, z).
+    Candidates are scored on the cell edge only, in batches of bounded
+    size on the calling thread; `max_workers` is accepted for existing
+    callers and starts no threads.  A candidate on the base station
+    rejects the whole run with ValueError, naming the candidate, before
+    any scoring.  Ties order by distance from the service area's ground
+    center, then by (x, y, z).
     """
     candidates = enumerate_candidates(spec)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(
-                pool.map(lambda c: evaluate_placement(scenario, c, objective), candidates)
-            )
-    else:
-        results = [evaluate_placement(scenario, c, objective) for c in candidates]
+    results = [
+        _result(c, stats, objective)
+        for c, stats in zip(candidates, edge_stats_reflected(scenario, candidates))
+    ]
     cx, cy = scenario.micro_extent.center()
     center = Position3D(cx, cy, 0.0)
 
@@ -166,30 +161,19 @@ def optimize_placement(
 def compare_models(scenario: Scenario, best: PlacementResult) -> ComparisonReport:
     """Contrast direct full-power service with panel-assisted reduced power.
 
-    The direct map runs at the conventional power; the reflected map runs
+    Direct service runs at the conventional power; reflected service runs
     at the reduced power with the panel at the given placement.  Both are
-    summarized over the same cell-edge points.
+    summarized over the same cell-edge points, computed there only.
     """
-    edge = cell_edge_points(
-        scenario.micro_extent, scenario.grid_resolution, scenario.user_height
-    )
-    conventional_edge = edge_stats(sinr_map_conventional(scenario), edge)
-    irs_scenario = with_panel_position(scenario, best.irs_position)
-    irs_edge = edge_stats(sinr_map_irs(irs_scenario), edge)
+    [irs_edge] = edge_stats_reflected(scenario, [best.irs_position])
     return ComparisonReport(
         conventional_power=scenario.micro_power_conventional,
         irs_power=scenario.micro_power_irs,
         irs_position=best.irs_position,
-        conventional_edge=conventional_edge,
+        conventional_edge=edge_stats_direct(scenario),
         irs_edge=irs_edge,
         power_reduction_fraction=1.0 - scenario.micro_power_irs / scenario.micro_power_conventional,
     )
-
-
-def _format_value(value: float) -> str:
-    if value == -math.inf:
-        return "-inf"
-    return repr(float(value))
 
 
 def ranking_to_csv(results: list[PlacementResult]) -> str:
@@ -201,13 +185,13 @@ def ranking_to_csv(results: list[PlacementResult]) -> str:
             ",".join(
                 [
                     str(rank),
-                    _format_value(p.x),
-                    _format_value(p.y),
-                    _format_value(p.z),
-                    _format_value(result.objective_db),
-                    _format_value(result.edge.min_db),
-                    _format_value(result.edge.mean_db),
-                    _format_value(result.edge.max_db),
+                    format_value(p.x),
+                    format_value(p.y),
+                    format_value(p.z),
+                    format_value(result.objective_db),
+                    format_value(result.edge.min_db),
+                    format_value(result.edge.mean_db),
+                    format_value(result.edge.max_db),
                 ]
             )
         )

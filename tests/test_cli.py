@@ -86,6 +86,14 @@ class TestRuntimeErrors:
         path.write_text("x_m,y_m,z_m\n10,10,5\n")
         assert run(["sweep", "--config", config_path, "--candidates", str(path)]) == 1
 
+    def test_candidate_on_default_station_named(self, tmp_path, capsys):
+        path = tmp_path / "cand.csv"
+        path.write_text("x_m,y_m,z_m\n0,200,5\n100,100,5\n100,200,5\n")
+        assert run(["sweep", "--candidates", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "candidate 1 " in err and "(100.0, 100.0, 5.0)" in err
+        assert "base station" in err
+
     def test_bad_thread_env(self, config_path, candidates_path, capsys, monkeypatch):
         monkeypatch.setenv("IRS_PLANNER_THREADS", "many")
         args = ["sweep", "--config", config_path, "--candidates", candidates_path]

@@ -1,0 +1,233 @@
+"""Edge-only scoring against the full-map oracle.
+
+`optimize_placement` and `compare_models` summarize SINR on the cell edge
+without computing whole maps.  Every summary they produce must be exactly
+(`==`, `-inf` included, the sign of zero too) the summary of the full map
+read at `cell_edge_points`, and that summary must equal one written out
+here from the map's lattice indices.
+"""
+
+import math
+import random
+from dataclasses import replace
+
+import pytest
+
+from irs_planner import (
+    CellExtent,
+    EdgeStats,
+    ExplicitList,
+    FixedAngles,
+    GeometricAngles,
+    GridSweep,
+    Objective,
+    Position3D,
+    build_grid,
+    cell_edge_points,
+    compare_models,
+    default_scenario,
+    edge_stats,
+    evaluate_placement,
+    optimize_placement,
+    sinr_map_conventional,
+    sinr_map_irs,
+    with_panel_position,
+)
+from irs_planner import coverage
+
+# at least one point of each lattice is on a panel placed at user height
+pytestmark = pytest.mark.filterwarnings("ignore:.*coincide with a transmitter:RuntimeWarning")
+
+
+def _bits(stats):
+    return tuple(float.hex(float(v)) for v in (stats.min_db, stats.mean_db, stats.max_db)) + (
+        stats.point_count,
+    )
+
+
+def _edge(scenario):
+    return cell_edge_points(scenario.micro_extent, scenario.grid_resolution, scenario.user_height)
+
+
+def _written_out(sinr_map):
+    """The edge summary as the README defines it, from the map's lattice indices."""
+    nx, ny = sinr_map.nx, sinr_map.ny
+    values = [
+        sinr_map.value_at(i, j)
+        for j in range(ny)
+        for i in (range(nx) if j in (0, ny - 1) else (0, nx - 1))
+    ]
+    mean_linear = math.fsum(10.0 ** (v / 10.0) for v in values) / len(values)
+    mean = 10.0 * math.log10(mean_linear) if mean_linear > 0.0 else -math.inf
+    low, high = min(values), max(values)
+    return EdgeStats(low, min(max(mean, low), high), high, len(values))
+
+
+def _oracle(sinr_map, scenario):
+    stats = edge_stats(sinr_map, _edge(scenario))
+    assert _bits(stats) == _bits(_written_out(sinr_map))
+    return stats
+
+
+def _oracle_irs(scenario, position):
+    return _oracle(sinr_map_irs(with_panel_position(scenario, position)), scenario)
+
+
+def _oracle_conventional(scenario):
+    return _oracle(sinr_map_conventional(scenario), scenario)
+
+
+def _tilted_normal(rng):
+    tilt = math.radians(rng.uniform(20.0, 70.0))
+    azimuth = rng.uniform(0.0, 2.0 * math.pi)
+    return (
+        math.sin(tilt) * math.cos(azimuth),
+        math.sin(tilt) * math.sin(azimuth),
+        -math.cos(tilt),
+    )
+
+
+def _scenario(seed):
+    """A seeded scenario: tilted or fixed panel, resolution not dividing the cell."""
+    rng = random.Random(seed)
+    base = default_scenario()
+    width = rng.choice([200.0, 150.0, 37.5])
+    depth = rng.choice([200.0, 90.0, 41.0])
+    extent = CellExtent(rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0), width, depth)
+    if seed % 2:
+        mode = GeometricAngles(_tilted_normal(rng))
+    else:
+        mode = FixedAngles(rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5))
+    bs = Position3D(
+        extent.origin_x + rng.uniform(0.0, width),
+        extent.origin_y + rng.uniform(0.0, depth),
+        rng.uniform(2.0, 8.0),
+    )
+    return replace(
+        base,
+        micro_extent=extent,
+        micro_bs_position=bs,
+        grid_resolution=rng.choice([7.0, 3.3, 6.1, 2.9]),
+        panel=replace(base.panel, angle_mode=mode),
+        objective=rng.choice([Objective.EDGE_MIN, Objective.EDGE_MEAN]),
+    )
+
+
+def _candidates(scenario, seed, count=24):
+    """Random panel positions, plus some at user height on edge points."""
+    rng = random.Random(seed)
+    extent = scenario.micro_extent
+    positions = [
+        Position3D(
+            extent.origin_x + rng.uniform(-10.0, extent.width + 10.0),
+            extent.origin_y + rng.uniform(-10.0, extent.depth + 10.0),
+            rng.uniform(3.0, 15.0),
+        )
+        for _ in range(count)
+    ]
+    positions += rng.sample(_edge(scenario), 3)  # on the lattice: the -inf sentinel
+    return ExplicitList(tuple(positions))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sweep_matches_full_maps(seed):
+    scenario = _scenario(seed)
+    spec = _candidates(scenario, seed)
+    ranking = optimize_placement(scenario, spec, scenario.objective)
+    assert len(ranking) == len(spec.positions)
+    sentinels = 0
+    for result in ranking:
+        oracle = _oracle_irs(scenario, result.irs_position)
+        assert _bits(result.edge) == _bits(oracle)
+        expected = oracle.min_db if scenario.objective is Objective.EDGE_MIN else oracle.mean_db
+        assert float.hex(result.objective_db) == float.hex(expected)
+        sentinels += result.edge.min_db == -math.inf
+    assert sentinels >= 3
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compare_matches_full_maps(seed):
+    scenario = _scenario(seed)
+    position = _candidates(scenario, seed).positions[0]
+    report = compare_models(scenario, evaluate_placement(scenario, position, scenario.objective))
+    assert _bits(report.conventional_edge) == _bits(_oracle_conventional(scenario))
+    assert _bits(report.irs_edge) == _bits(_oracle_irs(scenario, position))
+
+
+def test_points_behind_a_tilted_panel_match():
+    scenario = default_scenario()
+    scenario = replace(
+        scenario,
+        grid_resolution=6.5,
+        panel=replace(scenario.panel, angle_mode=GeometricAngles((0.6, 0.0, -0.8))),
+    )
+    positions = [Position3D(float(x), 100.0, 8.0) for x in range(0, 201, 25)]
+    for objective in Objective:
+        ranking = optimize_placement(scenario, ExplicitList(tuple(positions)), objective)
+        behind = 0
+        for result in ranking:
+            assert _bits(result.edge) == _bits(_oracle_irs(scenario, result.irs_position))
+            behind += result.edge.min_db == -math.inf and result.edge.max_db > -math.inf
+        assert behind > 0
+
+
+@pytest.mark.parametrize("chunk_elements", [1, 500, 1 << 15])
+def test_chunk_size_does_not_change_results(chunk_elements, monkeypatch):
+    scenario = _scenario(3)
+    spec = _candidates(scenario, 3, count=40)
+    monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", chunk_elements)
+    ranking = optimize_placement(scenario, spec, Objective.EDGE_MEAN)
+    for result in ranking:
+        assert _bits(result.edge) == _bits(_oracle_irs(scenario, result.irs_position))
+
+
+def test_mirrored_candidates_tie_exactly():
+    # stations on the line x = 100, so mirror images across it score alike
+    scenario = default_scenario()
+    scenario = replace(
+        scenario,
+        grid_resolution=4.0,
+        macro_bs=replace(scenario.macro_bs, position=Position3D(100.0, 500.0, 10.0)),
+        micro_bs_position=Position3D(100.0, 60.0, 4.0),
+    )
+    rng = random.Random(7)
+    positions = []
+    for _ in range(20):
+        dx = rng.choice([10.0, 25.0, 40.0, 75.0])
+        y = rng.choice([0.0, 30.0, 60.0, 90.0, 150.0])
+        z = rng.choice([6.0, 9.0, 12.0])
+        positions += [Position3D(100.0 - dx, y, z), Position3D(100.0 + dx, y, z)]
+    spec = ExplicitList(tuple(dict.fromkeys(positions)))
+    for objective in Objective:
+        ranking = optimize_placement(scenario, spec, objective)
+        by_position = {r.irs_position: r for r in ranking}
+        for p, result in by_position.items():
+            twin = by_position[Position3D(200.0 - p.x, p.y, p.z)]
+            assert result.objective_db == twin.objective_db
+            assert _bits(result.edge) == _bits(_oracle_irs(scenario, p))
+
+
+@pytest.mark.parametrize(
+    "extent, resolution",
+    [
+        (CellExtent(0.0, 0.0, 200.0, 200.0), 7.0),
+        (CellExtent(12.5, -3.0, 41.0, 9.0), 2.9),
+        (CellExtent(0.0, 0.0, 10.0, 5.0), 5.0),
+        (CellExtent(0.0, 0.0, 3.0, 3.0), 3.0),
+        (CellExtent(0.0, 0.0, 0.3, 0.3), 0.1),
+    ],
+)
+def test_cell_edge_points_are_the_perimeter_of_the_grid(extent, resolution):
+    grid = build_grid(extent, resolution, 1.5)
+    xs = sorted({p.x for p in grid})
+    ys = sorted({p.y for p in grid})
+    perimeter = [p for p in grid if p.x in (xs[0], xs[-1]) or p.y in (ys[0], ys[-1])]
+    assert cell_edge_points(extent, resolution, 1.5) == perimeter
+
+
+def test_grid_sweep_scores_like_explicit_positions():
+    scenario = replace(default_scenario(), grid_resolution=4.0)
+    spec = GridSweep(scenario.micro_extent, 40.0, 6.0)
+    ranking = optimize_placement(scenario, spec, Objective.EDGE_MIN)
+    for result in ranking:
+        assert _bits(result.edge) == _bits(_oracle_irs(scenario, result.irs_position))

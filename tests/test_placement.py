@@ -20,6 +20,7 @@ from irs_planner import (
     ranking_to_csv,
     with_panel_position,
 )
+from irs_planner import coverage
 
 from test_coverage import small_scenario
 
@@ -135,6 +136,16 @@ class TestOptimizePlacement:
         ranking = optimize_placement(scenario, mirrored, Objective.EDGE_MIN)
         assert ranking[0].objective_db == ranking[1].objective_db
         assert ranking[0].irs_position.x == 6.0
+
+    def test_sweep_through_station_rejected_before_scoring(self, monkeypatch):
+        def no_scoring(*args):
+            raise AssertionError("a candidate was scored")
+
+        monkeypatch.setattr(coverage, "_reflected_signal", no_scoring)
+        scenario = default_scenario()  # station at (100, 100, 5)
+        spec = GridSweep(scenario.micro_extent, 10.0, 5.0)
+        with pytest.raises(ValueError, match=r"candidate 220 .*\(100\.0, 100\.0, 5\.0\)"):
+            optimize_placement(scenario, spec, Objective.EDGE_MIN)
 
     def test_grid_sweep_spec_accepted(self):
         scenario = small_scenario(micro_bs_position=Position3D(0.0, 0.0, 5.0))
