@@ -65,17 +65,16 @@ def _read_candidates(path: str) -> ExplicitList:
     return ExplicitList(tuple(positions))
 
 
-def _thread_count() -> int:
+def _check_thread_env() -> None:
     raw = os.environ.get("IRS_PLANNER_THREADS", "").strip()
     if raw in ("", "0"):
-        return os.cpu_count() or 1
+        return
     try:
         count = int(raw)
     except ValueError:
         raise ConfigError(f"IRS_PLANNER_THREADS: not an integer: '{raw}'") from None
     if count < 1:
         raise ConfigError("IRS_PLANNER_THREADS: must be 0 (all cores) or a positive integer")
-    return count
 
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
@@ -176,10 +175,8 @@ def run(argv: list[str] | None = None) -> int:
             text = map_to_csv(sinr_map_irs(scenario))
         elif args.command == "sweep":
             candidates = _read_candidates(args.candidates)
-            ranking = optimize_placement(
-                scenario, candidates, scenario.objective, max_workers=_thread_count()
-            )
-            text = ranking_to_csv(ranking)
+            _check_thread_env()
+            text = ranking_to_csv(optimize_placement(scenario, candidates, scenario.objective))
         else:
             best = evaluate_placement(
                 scenario, scenario.panel.position, scenario.objective

@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .linkbudget import FixedAngles, Position3D, distance, element_scatter_gain
+from .linkbudget import FixedAngles, Position3D, _cascade_gain, _cascade_power, _incidence_cosine
+from .linkbudget import _power_law, _squared_hop, distance
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -162,27 +163,30 @@ def _perimeter(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.nd
     return x, y
 
 
+def _direct_power(
+    scenario: "Scenario", x: np.ndarray, y: np.ndarray, tx: Position3D, power: float, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power-law power from one transmitter, zero on it, and the points on it."""
+    d = np.sqrt(_squared_hop(x - tx.x, y - tx.y, (scenario.user_height - tx.z) ** 2))
+    dead = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        signal = _power_law(power, scenario.env.wavelength, d, alpha)
+    return np.where(dead, 0.0, signal), dead
+
+
 def _interference_grid(
     scenario: "Scenario", x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interference power per grid point and a mask of coincident points."""
-    env = scenario.env
-    wl = env.wavelength
     total = np.zeros_like(x)
     dead = np.zeros(x.shape, dtype=bool)
-    for source in scenario.interference_sources():
-        d = np.sqrt(
-            (x - source.position.x) ** 2
-            + (y - source.position.y) ** 2
-            + (scenario.user_height - source.position.z) ** 2
+    for s in scenario.interference_sources():
+        power, on_source = _direct_power(
+            scenario, x, y, s.position, s.transmit_power, s.pathloss_exponent
         )
-        dead |= d == 0.0
-        if source.transmit_power == 0.0:
-            continue
-        with np.errstate(divide="ignore"):
-            total = total + source.transmit_power * wl ** 2 / (
-                d ** source.pathloss_exponent * 16.0 * math.pi ** 2
-            )
+        dead |= on_source
+        if s.transmit_power != 0.0:
+            total = total + power
     return total, dead
 
 
@@ -190,17 +194,8 @@ def _direct_signal(
     scenario: "Scenario", x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Power served directly by the base station, and the points on it."""
-    bs = scenario.micro_bs_position
-    wl = scenario.env.wavelength
-    d = np.sqrt(
-        (x - bs.x) ** 2 + (y - bs.y) ** 2 + (scenario.user_height - bs.z) ** 2
-    )
-    dead = d == 0.0
-    with np.errstate(divide="ignore"):
-        signal = scenario.micro_power_conventional * wl ** 2 / (
-            d ** scenario.env.pathloss_exponent_micro * 16.0 * math.pi ** 2
-        )
-    return np.where(dead, 0.0, signal), dead
+    power, alpha = scenario.micro_power_conventional, scenario.env.pathloss_exponent_micro
+    return _direct_power(scenario, x, y, scenario.micro_bs_position, power, alpha)
 
 
 def _reflected_signal(
@@ -222,42 +217,27 @@ def _reflected_signal(
     """
     panel = scenario.panel
     bs = scenario.micro_bs_position
-    hop = np.array(r1)[:, None]
     dx = x - np.array([p.x for p in positions])[:, None]
     dy = y - np.array([p.y for p in positions])[:, None]
     dz = [scenario.user_height - p.z for p in positions]
-    r2 = np.sqrt(dx ** 2 + dy ** 2 + np.array([d ** 2 for d in dz])[:, None])
+    r2 = np.sqrt(_squared_hop(dx, dy, np.array([d ** 2 for d in dz])[:, None]))
     dead = r2 == 0.0
     mode = panel.angle_mode
     if isinstance(mode, FixedAngles):
         cos_t: np.ndarray | float = math.cos(mode.theta_t)
         cos_r: np.ndarray | float = math.cos(mode.theta_r)
     else:
-        n0, n1, n2 = mode.normal
         # a base station behind the panel gets no reflected power anywhere
         cos_t = np.array([
-            max(((bs.x - p.x) * n0 + (bs.y - p.y) * n1 + (bs.z - p.z) * n2) / r, 0.0)
+            max(_incidence_cosine(mode.normal, bs.x - p.x, bs.y - p.y, bs.z - p.z, r), 0.0)
             for p, r in zip(positions, r1)
         ])[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
-            cos_r = (dx * n0 + dy * n1 + np.array(dz)[:, None] * n2) / r2
+            cos_r = _incidence_cosine(mode.normal, dx, dy, np.array(dz)[:, None], r2)
         cos_r = np.where(dead | (cos_r < 0.0), 0.0, cos_r)
-    wl = scenario.env.wavelength
-    g_sc = element_scatter_gain(panel.element_len_x, panel.element_len_y, wl)
-    gain = (
-        scenario.micro_power_irs
-        * wl ** 2
-        * panel.reflection_coefficient ** 2
-        * g_sc
-        * panel.gain_tx
-        * panel.gain_rx
-        * panel.element_len_x
-        * panel.element_len_y
-        * panel.elements_m ** 2
-        * panel.elements_n ** 2
-    )
+    gain = _cascade_gain(scenario.micro_power_irs, panel, scenario.env.wavelength)
     with np.errstate(divide="ignore", invalid="ignore"):
-        signal = gain * cos_t * cos_r / ((hop * r2) ** 2 * 64.0 * math.pi ** 3)
+        signal = _cascade_power(gain, cos_t, cos_r, np.array(r1)[:, None], r2)
     return np.where(dead, 0.0, signal), dead
 
 

@@ -18,6 +18,10 @@ gain is G_sc = 4 * pi * dx * dy / wavelength**2.
 
 All internal arithmetic is linear (watts, meters, radians).  Decibel
 quantities appear only in the conversion helpers at the bottom.
+
+The scalar API below and the map kernels in coverage share one private
+implementation of each equation, plain arithmetic on Python floats (the
+scalar API) or numpy arrays (the maps) alike.  The two agree to a few ulp.
 """
 
 from __future__ import annotations
@@ -160,13 +164,21 @@ def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> floa
     own attenuation exponent.  Raises ValueError on zero separation, where
     the power law is singular.
     """
-    separation = distance(link.transmitter, link.receiver)
+    tx, rx = link.transmitter, link.receiver
+    separation = math.sqrt(_squared_hop(rx.x - tx.x, rx.y - tx.y, (rx.z - tx.z) ** 2))
     if separation == 0.0:
         raise ValueError("link separation is zero")
-    wl = env.wavelength
-    return link.transmit_power * wl ** 2 / (
-        separation ** link.pathloss_exponent * 16.0 * math.pi ** 2
-    )
+    return _power_law(link.transmit_power, env.wavelength, separation, link.pathloss_exponent)
+
+
+def _squared_hop(dx, dy, dz2):
+    """dx*dx + dy*dy + dz2 as the maps form it; callers square dz with Python's **."""
+    return dx * dx + dy * dy + dz2
+
+
+def _power_law(power, wl, d, alpha):
+    """P * wl**2 / (d**alpha * 16 * pi**2), on floats or on arrays."""
+    return power * wl ** 2 / (d ** alpha * 16.0 * math.pi ** 2)
 
 
 def element_scatter_gain(element_len_x: float, element_len_y: float, wl: float) -> float:
@@ -174,6 +186,24 @@ def element_scatter_gain(element_len_x: float, element_len_y: float, wl: float) 
     if not (element_len_x > 0 and element_len_y > 0 and wl > 0):
         raise ValueError("element dimensions and wavelength must be positive")
     return 4.0 * math.pi * element_len_x * element_len_y / wl ** 2
+
+
+def _incidence_cosine(normal, dx, dy, dz, length):
+    """Cosine between a unit normal and an offset of the given length."""
+    n0, n1, n2 = normal
+    return (dx * n0 + dy * n1 + dz * n2) / length
+
+
+def _cosines(transmitter, panel, receiver, d_t, d_r) -> tuple[float, float]:
+    """cos(theta_t) and cos(theta_r), or BehindSurfaceError in geometric mode."""
+    if isinstance(panel.angle_mode, FixedAngles):
+        return math.cos(panel.angle_mode.theta_t), math.cos(panel.angle_mode.theta_r)
+    n, p = panel.angle_mode.normal, panel.position
+    cos_t = _incidence_cosine(n, transmitter.x - p.x, transmitter.y - p.y, transmitter.z - p.z, d_t)
+    cos_r = _incidence_cosine(n, receiver.x - p.x, receiver.y - p.y, receiver.z - p.z, d_r)
+    if cos_t < 0.0 or cos_r < 0.0:
+        raise BehindSurfaceError("endpoint lies behind the panel surface")
+    return cos_t, cos_r
 
 
 def incidence_angles(
@@ -194,15 +224,21 @@ def incidence_angles(
     mode = panel.angle_mode
     if isinstance(mode, FixedAngles):
         return mode.theta_t, mode.theta_r
-    nx, ny, nz = mode.normal
-    pos = panel.position
-    cos_t = ((transmitter.x - pos.x) * nx + (transmitter.y - pos.y) * ny
-             + (transmitter.z - pos.z) * nz) / d_t
-    cos_r = ((receiver.x - pos.x) * nx + (receiver.y - pos.y) * ny
-             + (receiver.z - pos.z) * nz) / d_r
-    if cos_t < 0.0 or cos_r < 0.0:
-        raise BehindSurfaceError("endpoint lies behind the panel surface")
+    cos_t, cos_r = _cosines(transmitter, panel, receiver, d_t, d_r)
     return math.acos(min(cos_t, 1.0)), math.acos(min(cos_r, 1.0))
+
+
+def _cascade_gain(power, panel: IrsPanel, wl: float) -> float:
+    """P * wl**2 * A**2 * G_sc * G_tx * G_rx * dx * dy * M**2 * N**2, in that order."""
+    g_sc = element_scatter_gain(panel.element_len_x, panel.element_len_y, wl)
+    return (power * wl ** 2 * panel.reflection_coefficient ** 2 * g_sc * panel.gain_tx
+            * panel.gain_rx * panel.element_len_x * panel.element_len_y
+            * panel.elements_m ** 2 * panel.elements_n ** 2)
+
+
+def _cascade_power(gain, cos_t, cos_r, r1, r2):
+    """gain * cos(theta_t) * cos(theta_r) / ((R1 * R2)**2 * 64 * pi**3)."""
+    return gain * cos_t * cos_r / ((r1 * r2) ** 2 * 64.0 * math.pi ** 3)
 
 
 def irs_rx_power(
@@ -225,26 +261,11 @@ def irs_rx_power(
     if r1 == 0.0 or r2 == 0.0:
         raise ValueError("cascade hop distances must be positive")
     try:
-        theta_t, theta_r = incidence_angles(transmitter, panel, receiver)
+        cos_t, cos_r = _cosines(transmitter, panel, receiver, r1, r2)
     except BehindSurfaceError:
         return 0.0
-    wl = env.wavelength
-    g_sc = element_scatter_gain(panel.element_len_x, panel.element_len_y, wl)
-    numerator = (
-        transmit_power
-        * wl ** 2
-        * panel.reflection_coefficient ** 2
-        * g_sc
-        * panel.gain_tx
-        * panel.gain_rx
-        * panel.element_len_x
-        * panel.element_len_y
-        * panel.elements_m ** 2
-        * panel.elements_n ** 2
-        * math.cos(theta_t)
-        * math.cos(theta_r)
-    )
-    return numerator / ((r1 * r2) ** 2 * 64.0 * math.pi ** 3)
+    gain = _cascade_gain(transmit_power, panel, env.wavelength)
+    return _cascade_power(gain, cos_t, cos_r, r1, r2)
 
 
 def watts_to_dbm(power: float) -> float:

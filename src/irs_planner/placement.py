@@ -163,15 +163,16 @@ def compare_models(scenario: Scenario, best: PlacementResult) -> ComparisonRepor
 
     Direct service runs at the conventional power; reflected service runs
     at the reduced power with the panel at the given placement.  Both are
-    summarized over the same cell-edge points, computed there only.
+    summarized over the same cell-edge points, computed there only.  The
+    reflected summary is `best.edge`, so `best` must come from
+    evaluate_placement or optimize_placement on this same scenario.
     """
-    [irs_edge] = edge_stats_reflected(scenario, [best.irs_position])
     return ComparisonReport(
         conventional_power=scenario.micro_power_conventional,
         irs_power=scenario.micro_power_irs,
         irs_position=best.irs_position,
         conventional_edge=edge_stats_direct(scenario),
-        irs_edge=irs_edge,
+        irs_edge=best.edge,
         power_reduction_fraction=1.0 - scenario.micro_power_irs / scenario.micro_power_conventional,
     )
 

@@ -54,8 +54,9 @@ def interference_power(
 
     Each source contributes its direct-link received power with its own
     attenuation exponent.  The sum uses exact compensated summation so the
-    result does not depend on source ordering.  A source coincident with
-    the user is a domain error.
+    result does not depend on source ordering; the maps add sources with
+    `+`, which differs only with more than one source, and scenarios have
+    exactly one.  A source coincident with the user is a domain error.
     """
     contributions = []
     for source in sources:

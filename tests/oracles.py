@@ -73,3 +73,52 @@ def rel_error(value, reference):
     if reference == 0:
         return mp.mpf(abs(mp.mpf(value)))
     return abs((mp.mpf(value) - reference) / reference)
+
+
+def hp_irs_rx_power_geometric(
+    transmit_power,
+    carrier_frequency,
+    reflection_coefficient,
+    gain_tx,
+    gain_rx,
+    element_len_x,
+    element_len_y,
+    elements_m,
+    elements_n,
+    normal,
+    transmitter,
+    panel_position,
+    receiver,
+):
+    """The cascade with incidence cosines taken from the geometry in 50 digits.
+
+    Each cosine is the normal's dot product with the offset from the panel
+    to the endpoint, over that offset's length; an endpoint behind the
+    panel (negative cosine) gives zero power.  The angles then go through
+    the factor-by-factor reference above.
+    """
+    n = [mp.mpf(c) for c in normal]
+
+    def cosine(endpoint):
+        offset = [mp.mpf(e) - mp.mpf(p) for e, p in zip(endpoint, panel_position)]
+        return mp.fsum(a * b for a, b in zip(n, offset)) / hp_distance(endpoint, panel_position)
+
+    cos_t, cos_r = cosine(transmitter), cosine(receiver)
+    if cos_t < 0 or cos_r < 0:
+        return mp.mpf(0)
+    return hp_irs_rx_power(
+        transmit_power,
+        carrier_frequency,
+        reflection_coefficient,
+        gain_tx,
+        gain_rx,
+        element_len_x,
+        element_len_y,
+        elements_m,
+        elements_n,
+        mp.acos(cos_t),
+        mp.acos(cos_r),
+        transmitter,
+        panel_position,
+        receiver,
+    )
