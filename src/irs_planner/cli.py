@@ -3,9 +3,13 @@
 Exit status is 0 on success, 1 on a runtime failure (bad config, bad
 candidate file, I/O), and 2 on a usage error.  Output files are written
 with fixed formatting and ordering so identical invocations produce
-byte-identical bytes.  The IRS_PLANNER_THREADS environment variable is
-still validated (0, unset or a positive integer) but starts no threads:
-sweeps are scored in batches on one thread.
+byte-identical bytes.  Maps are computed in bounded blocks of lattice
+rows and written one row of text at a time, so a fine map needs no more
+memory than a coarse one; the scenario is checked before the output is
+opened, so a map that fails creates no file.  The IRS_PLANNER_THREADS
+environment variable is still validated (0, unset or a positive
+integer) but starts no threads: sweeps are scored in batches on one
+thread.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import Iterable
 
-from .coverage import format_value, map_to_csv, sinr_map_conventional, sinr_map_irs
+from .coverage import _csv_rows, _map_blocks, format_value
 from .linkbudget import Position3D
 from .placement import (
     ComparisonReport,
@@ -92,12 +97,12 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    with open(out, "wb") as handle:
-        handle.write(text.encode("utf-8"))
+    with open(out, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(chunks)
 
 
 def _comparison_csv(report: ComparisonReport) -> str:
@@ -169,20 +174,19 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scenario = _build_scenario(args)
-        if args.command == "map-conv":
-            text = map_to_csv(sinr_map_conventional(scenario))
-        elif args.command == "map-irs":
-            text = map_to_csv(sinr_map_irs(scenario))
+        if args.command in ("map-conv", "map-irs"):
+            blocks = _map_blocks(scenario, irs=args.command == "map-irs")
+            chunks = _csv_rows(scenario.micro_extent, scenario.grid_resolution, blocks)
         elif args.command == "sweep":
             candidates = _read_candidates(args.candidates)
             _check_thread_env()
-            text = ranking_to_csv(optimize_placement(scenario, candidates, scenario.objective))
+            chunks = [ranking_to_csv(optimize_placement(scenario, candidates, scenario.objective))]
         else:
             best = evaluate_placement(
                 scenario, scenario.panel.position, scenario.objective
             )
-            text = _comparison_csv(compare_models(scenario, best))
-        _write_output(text, args.out)
+            chunks = [_comparison_csv(compare_models(scenario, best))]
+        _write_output(chunks, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,21 @@
 
 A map samples the user plane on a regular lattice: nx = floor(width /
 resolution) + 1 columns and ny = floor(depth / resolution) + 1 rows,
-stored row-major (the row index varies slowest).  Values are SINR in dB
-with -inf as the zero-signal sentinel; grid points that coincide with a
-transmitter get the sentinel and a warning rather than raising, so one
-degenerate point cannot abort a whole map.
+stored row-major (the row index varies slowest).  A ratio that falls
+within a few ulp below an integer counts as that integer, so 0.3 / 0.1
+(2.9999999999999996 in floats) gives 4 columns and the last column lies
+on the far boundary, within one ulp, instead of a step inside it.
+Values are SINR in dB with -inf as the zero-signal sentinel; grid points
+that coincide with a transmitter get the sentinel and one warning per
+map rather than raising, so one degenerate point cannot abort a whole
+map.
+
+Maps are computed in blocks of whole lattice rows, at most
+_CHUNK_ELEMENTS points per block (one row if a row is longer), and the
+kernels are elementwise, so a value does not depend on its block.
+sinr_map_conventional and sinr_map_irs join the blocks into one SinrMap;
+the command line formats and writes each block as it comes, one row of
+text at a time, so its memory does not grow with the lattice.
 """
 
 from __future__ import annotations
@@ -13,7 +24,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import islice, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,8 +36,11 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 SENTINEL_DB = -math.inf
-# array elements per batch of panel positions scored on the cell edge
+# array elements per batch: panel positions scored on the cell edge, or
+# lattice points of a map block
 _CHUNK_ELEMENTS = 1 << 15
+# a lattice ratio this many ulp or fewer below an integer counts as it
+_SNAP_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -105,12 +120,17 @@ def _check_resolution(extent: CellExtent, resolution: float) -> None:
         raise ValueError("grid_resolution must not exceed the extent dimensions")
 
 
+def _steps(length: float, resolution: float) -> int:
+    """Whole resolution steps in a length, snapping a ratio just below an integer up."""
+    ratio = length / resolution
+    up = math.ceil(ratio)
+    return up if up - ratio <= _SNAP_ULPS * math.ulp(ratio) else math.floor(ratio)
+
+
 def grid_shape(extent: CellExtent, resolution: float) -> tuple[int, int]:
     """Lattice dimensions (nx, ny) for an extent at a resolution."""
     _check_resolution(extent, resolution)
-    nx = int(math.floor(extent.width / resolution)) + 1
-    ny = int(math.floor(extent.depth / resolution)) + 1
-    return nx, ny
+    return _steps(extent.width, resolution) + 1, _steps(extent.depth, resolution) + 1
 
 
 def build_grid(extent: CellExtent, resolution: float, user_height: float) -> list[Position3D]:
@@ -144,10 +164,15 @@ def _grid_axes(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.nd
     return xs, ys
 
 
+def _lattice_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of every point of the rows at ys, flat and row-major."""
+    x, y = np.meshgrid(xs, ys)
+    return x.reshape(-1), y.reshape(-1)
+
+
 def _lattice(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.ndarray]:
     """x and y of every lattice point, flat and row-major."""
-    x, y = np.meshgrid(*_grid_axes(extent, resolution))
-    return x.reshape(-1), y.reshape(-1)
+    return _lattice_rows(*_grid_axes(extent, resolution))
 
 
 def _perimeter(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,32 +276,73 @@ def _sinr_db(
     with np.errstate(divide="ignore"):
         linear = signal / (interference + scenario.env.noise_power)
         db = np.where(linear > 0.0, 10.0 * np.log10(np.where(linear > 0.0, linear, 1.0)), SENTINEL_DB)
-    if dead.any():
+    return np.where(dead, SENTINEL_DB, db)
+
+
+def _warn_dead(count: int, stacklevel: int) -> None:
+    """Warn once about `count` points on a transmitter, if there are any.
+
+    `stacklevel` counts from the caller: 1 blames the caller itself.
+    """
+    if count:
         warnings.warn(
-            f"{int(dead.sum())} grid point(s) coincide with a transmitter; "
+            f"{count} grid point(s) coincide with a transmitter; "
             "writing the -inf sentinel there",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
-        db = np.where(dead, SENTINEL_DB, db)
-    return db
 
 
-def _as_map(scenario: "Scenario", db: np.ndarray) -> SinrMap:
+def _map_blocks(scenario: "Scenario", irs: bool) -> Iterator[np.ndarray]:
+    """SINR in dB over the map lattice, one flat block of whole rows at a time.
+
+    With `irs` the signal is the cascaded path through the panel only,
+    otherwise the direct path.  The scenario is checked before this
+    returns, so a malformed one raises before any block is asked for.
+    """
+    xs, ys = _grid_axes(scenario.micro_extent, scenario.grid_resolution)
+    if not irs:
+        return _blocks(scenario, lambda x, y: _direct_signal(scenario, x, y), xs, ys)
+    position = scenario.panel.position
+    r1 = distance(scenario.micro_bs_position, position)
+    if r1 == 0.0:
+        raise ValueError("panel position coincides with the base station")
+    return _blocks(
+        scenario, lambda x, y: _reflected_signal(scenario, [position], [r1], x, y), xs, ys
+    )
+
+
+def _blocks(
+    scenario: "Scenario",
+    signal_at: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    xs: np.ndarray,
+    ys: np.ndarray,
+) -> Iterator[np.ndarray]:
+    rows = max(1, _CHUNK_ELEMENTS // len(xs))
+    dead_count = 0
+    for j0 in range(0, len(ys), rows):
+        x, y = _lattice_rows(xs, ys[j0 : j0 + rows])
+        signal, dead = signal_at(x, y)
+        interference, dead_i = _interference_grid(scenario, x, y)
+        dead = dead | dead_i
+        dead_count += int(np.count_nonzero(dead))
+        yield _sinr_db(scenario, signal, interference, dead).reshape(-1)
+    # one warning per map, after the last block, blaming sinr_map_*'s caller
+    _warn_dead(dead_count, stacklevel=4)
+
+
+def _as_map(scenario: "Scenario", blocks: Iterator[np.ndarray]) -> SinrMap:
     return SinrMap(
         extent=scenario.micro_extent,
         resolution=scenario.grid_resolution,
         user_height=scenario.user_height,
-        values=db.reshape(-1),
+        values=np.concatenate(list(blocks)),
     )
 
 
 def sinr_map_conventional(scenario: "Scenario") -> SinrMap:
     """SINR map served directly by the small-cell base station."""
-    x, y = _lattice(scenario.micro_extent, scenario.grid_resolution)
-    signal, dead = _direct_signal(scenario, x, y)
-    interference, dead_i = _interference_grid(scenario, x, y)
-    return _as_map(scenario, _sinr_db(scenario, signal, interference, dead | dead_i))
+    return _as_map(scenario, _map_blocks(scenario, irs=False))
 
 
 def sinr_map_irs(scenario: "Scenario") -> SinrMap:
@@ -286,14 +352,7 @@ def sinr_map_irs(scenario: "Scenario") -> SinrMap:
     panels zero out points behind the surface; a panel coincident with
     the base station is a malformed scenario and raises.
     """
-    position = scenario.panel.position
-    r1 = distance(scenario.micro_bs_position, position)
-    if r1 == 0.0:
-        raise ValueError("panel position coincides with the base station")
-    x, y = _lattice(scenario.micro_extent, scenario.grid_resolution)
-    signal, dead = _reflected_signal(scenario, [position], [r1], x, y)
-    interference, dead_i = _interference_grid(scenario, x, y)
-    return _as_map(scenario, _sinr_db(scenario, signal, interference, dead | dead_i))
+    return _as_map(scenario, _map_blocks(scenario, irs=True))
 
 
 def _lattice_index(sinr_map: SinrMap, point: Position3D) -> int:
@@ -311,23 +370,18 @@ def _lattice_index(sinr_map: SinrMap, point: Position3D) -> int:
     return j * nx + i
 
 
-def _summarize(values: list[float]) -> EdgeStats:
-    """Min, linear-domain mean and max of SINR values in dB."""
-    # Python's ** (libm pow), not numpy's vectorized power, which differs
-    # in the last bit on some inputs and would change the output bytes
-    linear = [10.0 ** (v / 10.0) for v in values]
-    mean_linear = math.fsum(linear) / len(linear)
-    mean_db = 10.0 * math.log10(mean_linear) if mean_linear > 0.0 else SENTINEL_DB
-    low = min(values)
-    high = max(values)
-    # the dB round trip can drift by one ulp; keep the mean inside [min, max]
-    mean_db = min(max(mean_db, low), high)
-    return EdgeStats(
-        min_db=low,
-        mean_db=mean_db,
-        max_db=high,
-        point_count=len(values),
-    )
+def _summarize(db: np.ndarray) -> list[EdgeStats]:
+    """Min, linear-domain mean and max of each row of SINR values in dB."""
+    stats = []
+    for low, high, tenths in zip(db.min(axis=1).tolist(), db.max(axis=1).tolist(), db / 10.0):
+        # math.pow (libm), not numpy's vectorized power, which differs in
+        # the last bit on some inputs and would change the output bytes
+        mean_linear = math.fsum(map(math.pow, repeat(10.0), tenths.tolist())) / len(tenths)
+        mean_db = 10.0 * math.log10(mean_linear) if mean_linear > 0.0 else SENTINEL_DB
+        # the dB round trip can drift by one ulp; keep the mean inside [min, max]
+        mean_db = min(max(mean_db, low), high)
+        stats.append(EdgeStats(min_db=low, mean_db=mean_db, max_db=high, point_count=len(tenths)))
+    return stats
 
 
 def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
@@ -339,7 +393,8 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
     """
     if len(edge) == 0:
         raise ValueError("edge point set must not be empty")
-    return _summarize([float(sinr_map.values[_lattice_index(sinr_map, p)]) for p in edge])
+    index = [_lattice_index(sinr_map, p) for p in edge]
+    return _summarize(sinr_map.values[index][None, :])[0]
 
 
 def edge_stats_direct(scenario: "Scenario") -> EdgeStats:
@@ -351,7 +406,9 @@ def edge_stats_direct(scenario: "Scenario") -> EdgeStats:
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
     signal, dead = _direct_signal(scenario, x, y)
     interference, dead_i = _interference_grid(scenario, x, y)
-    return _summarize(_sinr_db(scenario, signal, interference, dead | dead_i).tolist())
+    dead = dead | dead_i
+    _warn_dead(int(np.count_nonzero(dead)), stacklevel=2)
+    return _summarize(_sinr_db(scenario, signal, interference, dead)[None, :])[0]
 
 
 def edge_stats_reflected(
@@ -381,16 +438,38 @@ def edge_stats_reflected(
     for start in range(0, len(positions), chunk):
         stop = start + chunk
         signal, dead = _reflected_signal(scenario, positions[start:stop], r1[start:stop], x, y)
-        db = _sinr_db(scenario, signal, interference, dead | dead_i)
-        stats.extend(_summarize(row.tolist()) for row in db)
+        dead = dead | dead_i
+        _warn_dead(int(np.count_nonzero(dead)), stacklevel=2)
+        stats.extend(_summarize(_sinr_db(scenario, signal, interference, dead)))
     return stats
 
 
 def format_value(value: float) -> str:
-    """Shortest round-trip decimal form of a float; the sentinel is -inf."""
-    if value == -math.inf:
-        return "-inf"
+    """Shortest round-trip decimal form of a float; the sentinel is -inf.
+
+    That is repr of the float, which spells -inf as "-inf".
+    """
     return repr(float(value))
+
+
+def _csv_rows(
+    extent: CellExtent, resolution: float, blocks: Iterable[np.ndarray]
+) -> Iterator[str]:
+    """The CSV text of a map: the header line, then one string per lattice row.
+
+    `blocks` hold the map's values in grid order, in whole rows.  Each x
+    coordinate is formatted once per map and each y once per row.
+    """
+    nx = grid_shape(extent, resolution)[0]
+    xs = [format_value(extent.origin_x + i * resolution) for i in range(nx)]
+    yield "x_m,y_m,sinr_db\n"
+    j = 0
+    for block in blocks:
+        values = map(repr, block.tolist())  # format_value, unrolled
+        for _ in range(len(block) // nx):
+            y = format_value(extent.origin_y + j * resolution)
+            yield "".join([f"{x},{y},{v}\n" for x, v in zip(xs, islice(values, nx))])
+            j += 1
 
 
 def map_to_csv(sinr_map: SinrMap) -> str:
@@ -399,17 +478,4 @@ def map_to_csv(sinr_map: SinrMap) -> str:
     Floats use the shortest round-trip decimal form and the sentinel is
     written as -inf, which keeps output byte-stable across runs.
     """
-    extent = sinr_map.extent
-    res = sinr_map.resolution
-    nx, ny = grid_shape(extent, res)
-    lines = ["x_m,y_m,sinr_db"]
-    idx = 0
-    for j in range(ny):
-        y = extent.origin_y + j * res
-        for i in range(nx):
-            x = extent.origin_x + i * res
-            lines.append(
-                f"{format_value(x)},{format_value(y)},{format_value(sinr_map.values[idx])}"
-            )
-            idx += 1
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_rows(sinr_map.extent, sinr_map.resolution, [sinr_map.values]))

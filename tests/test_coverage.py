@@ -117,6 +117,28 @@ class TestCellEdgePoints:
         assert indexed == sorted(indexed)
 
 
+class TestLatticeRatio:
+    # each width / resolution rounds to a float one ulp below an integer
+    @pytest.mark.parametrize(
+        "width, resolution", [(0.3, 0.1), (0.7, 0.1), (2.3, 0.01), (0.3, 0.05)]
+    )
+    def test_perimeter_reaches_the_far_boundary(self, width, resolution):
+        steps = round(width / resolution)
+        assert width / resolution < steps
+        extent = CellExtent(0.0, 0.0, width, width)
+        edge = cell_edge_points(extent, resolution, 1.5)
+        assert len(edge) == 4 * steps
+        for far in (max(p.x for p in edge), max(p.y for p in edge)):
+            assert abs(far - width) <= math.ulp(width)
+
+    def test_ratio_well_below_an_integer_is_floored(self):
+        extent = CellExtent(0.0, 0.0, 0.3, 0.3)
+        resolution = 0.1 * (1.0 + 1e-12)
+        edge = cell_edge_points(extent, resolution, 1.5)
+        assert len(edge) == 4 * 2
+        assert max(p.x for p in edge) < 0.3 - resolution / 2
+
+
 class TestEdgeStats:
     def build_map(self, values, extent=CellExtent(0, 0, 2, 2), res=1.0, height=1.5):
         return SinrMap(extent, res, height, np.asarray(values, dtype=np.float64))
