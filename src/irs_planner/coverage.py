@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -120,11 +120,15 @@ def _check_resolution(extent: CellExtent, resolution: float) -> None:
         raise ValueError("grid_resolution must not exceed the extent dimensions")
 
 
+def _is_whole(ratio: float) -> bool:
+    """Whether a lattice ratio is within _SNAP_ULPS ulp of an integer."""
+    return abs(ratio - round(ratio)) <= _SNAP_ULPS * math.ulp(ratio)
+
+
 def _steps(length: float, resolution: float) -> int:
     """Whole resolution steps in a length, snapping a ratio just below an integer up."""
     ratio = length / resolution
-    up = math.ceil(ratio)
-    return up if up - ratio <= _SNAP_ULPS * math.ulp(ratio) else math.floor(ratio)
+    return round(ratio) if _is_whole(ratio) else math.floor(ratio)
 
 
 def grid_shape(extent: CellExtent, resolution: float) -> tuple[int, int]:
@@ -370,17 +374,75 @@ def _lattice_index(sinr_map: SinrMap, point: Position3D) -> int:
     return j * nx + i
 
 
+def _exact_row_sums(terms: np.ndarray) -> list[float]:
+    """math.fsum of each row of a 2-D array of non-negative floats, in numpy.
+
+    Each pass cuts every term of a row at one binary place, `width` bits
+    below the previous cut (the first lies `width` bits below the row's
+    top bit), and numpy sums the parts above the cut; the parts below go
+    on to the next pass.  Those parts are whole multiples, under
+    2 ** width, of one power of two, and width = 53 - n.bit_length()
+    leaves room for the carries of n of them, so each pass sums exactly in
+    any order (Rump, Ogita & Oishi, "Accurate floating-point summation",
+    2008).  math.fsum then rounds each row's few exact partial sums once,
+    to the same float as math.fsum over the terms.  `terms` is
+    overwritten.  A term or a sum beyond the largest double raises
+    OverflowError.
+    """
+    width = 53 - terms.shape[1].bit_length()
+    top = terms.max(axis=1)
+    if not np.isfinite(top).all():
+        raise OverflowError("a term exceeds the largest double")
+    shift = np.frexp(top)[1][:, None] - width
+    high = np.empty_like(terms)
+    partials = [[0.0] * len(terms)]  # so that rows of zeros need no pass
+    with np.errstate(over="ignore"):
+        while terms.any():
+            np.ldexp(terms, -shift, out=high)
+            np.floor(high, out=high)
+            np.ldexp(high, shift, out=high)
+            partials.append(high.sum(axis=1).tolist())
+            terms -= high
+            shift -= width
+    sums = [math.fsum(p) for p in zip(*partials)]
+    if math.inf in sums:
+        raise OverflowError("a sum exceeds the largest double")
+    return sums
+
+
 def _summarize(db: np.ndarray) -> list[EdgeStats]:
-    """Min, linear-domain mean and max of each row of SINR values in dB."""
+    """Min, linear-domain mean and max of each row of SINR values in dB.
+
+    The mean is the correctly rounded sum of 10 ** (v / 10) over a row,
+    with libm's pow, divided by the row length and taken back to dB.  A
+    row holding +inf has a mean of +inf.  A finite row whose linear terms
+    or their sum exceed the largest double raises ValueError: that takes
+    values within 10 * log10(n) dB of 3082.5 dB, which only a noise power
+    near the bottom of the double range produces.
+    """
+    highs = db.max(axis=1)
+    # np.float_power's float64 loop calls libm's pow, as math.pow does;
+    # np.power is vectorized (SVML with AVX-512) and differs in the last
+    # bit on some inputs, which would change the output bytes
+    with np.errstate(over="ignore"):
+        terms = np.float_power(10.0, db / 10.0)
+    # rows with +inf (or NaN) take their max as the mean and skip the sum
+    terms[~(highs < math.inf)] = 0.0
+    try:
+        sums = _exact_row_sums(terms)
+    except OverflowError:
+        raise ValueError(
+            "edge SINR too high for a linear-domain mean: 10 ** (SINR / 10) or its sum "
+            "over the edge exceeds the largest double"
+        ) from None
+    n = db.shape[1]
     stats = []
-    for low, high, tenths in zip(db.min(axis=1).tolist(), db.max(axis=1).tolist(), db / 10.0):
-        # math.pow (libm), not numpy's vectorized power, which differs in
-        # the last bit on some inputs and would change the output bytes
-        mean_linear = math.fsum(map(math.pow, repeat(10.0), tenths.tolist())) / len(tenths)
+    for low, high, total in zip(db.min(axis=1).tolist(), highs.tolist(), sums):
+        mean_linear = total / n if high < math.inf else high
         mean_db = 10.0 * math.log10(mean_linear) if mean_linear > 0.0 else SENTINEL_DB
         # the dB round trip can drift by one ulp; keep the mean inside [min, max]
         mean_db = min(max(mean_db, low), high)
-        stats.append(EdgeStats(min_db=low, mean_db=mean_db, max_db=high, point_count=len(tenths)))
+        stats.append(EdgeStats(min_db=low, mean_db=mean_db, max_db=high, point_count=n))
     return stats
 
 
@@ -389,7 +451,9 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
 
     Every point must fall on the map lattice.  The mean is accumulated
     with exact summation in the linear domain and converted back to dB,
-    so it is reproducible across platforms and point orderings.
+    so it is reproducible across platforms and point orderings.  A +inf
+    on the edge makes the mean +inf; an edge whose linear-domain sum
+    exceeds the largest double raises ValueError.
     """
     if len(edge) == 0:
         raise ValueError("edge point set must not be empty")

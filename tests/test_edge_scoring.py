@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from irs_planner import (
@@ -34,6 +35,7 @@ from irs_planner import (
     with_panel_position,
 )
 from irs_planner import coverage
+from irs_planner.cli import run
 
 # at least one point of each lattice is on a panel placed at user height
 pytestmark = pytest.mark.filterwarnings("ignore:.*coincide with a transmitter:RuntimeWarning")
@@ -231,3 +233,78 @@ def test_grid_sweep_scores_like_explicit_positions():
     ranking = optimize_placement(scenario, spec, Objective.EDGE_MIN)
     for result in ranking:
         assert _bits(result.edge) == _bits(_oracle_irs(scenario, result.irs_position))
+
+
+def _silent_macro(noise_power):
+    """Defaults with no interference and the given noise power."""
+    scenario = default_scenario()
+    return replace(
+        scenario,
+        env=replace(scenario.env, noise_power=noise_power),
+        macro_bs=replace(scenario.macro_bs, transmit_power=0.0),
+    )
+
+
+_SMALL_CELL = CellExtent(0.0, 0.0, 2.0, 2.0)
+
+
+def _map_of(edge_db):
+    """A 3 x 3 map at 1 m resolution with these 8 edge values and 0 dB in the centre."""
+    values = np.array(edge_db[:4] + [0.0] + edge_db[4:], dtype=float)
+    return coverage.SinrMap(_SMALL_CELL, 1.0, 1.5, values)
+
+
+def _edge_of_map():
+    return cell_edge_points(_SMALL_CELL, 1.0, 1.5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_infinite_sinr_on_the_edge_gives_an_infinite_mean():
+    # a noise power of one subnormal: the linear SINR overflows to +inf everywhere
+    scenario = _silent_macro(5e-324)
+    inf = math.inf
+    assert coverage.edge_stats_direct(scenario) == EdgeStats(inf, inf, inf, 800)
+    position = Position3D(0.0, 200.0, 5.0)
+    assert coverage.edge_stats_reflected(scenario, [position]) == [EdgeStats(inf, inf, inf, 800)]
+    assert evaluate_placement(scenario, position, Objective.EDGE_MEAN).objective_db == inf
+
+
+def test_a_row_holding_inf_has_an_infinite_mean_whatever_else_it_holds():
+    # 3090 dB alone would overflow the linear domain; next to +inf it does not matter
+    edge_db = [-math.inf, 3.0, 3090.0, math.inf, 7.0, 0.0, 1.0, 2.0]
+    stats = edge_stats(_map_of(edge_db), _edge_of_map())
+    assert _bits(stats) == _bits(EdgeStats(-math.inf, math.inf, math.inf, 8))
+
+
+@pytest.mark.parametrize(
+    "edge_db",
+    [
+        # one term beyond the largest double (10 ** 308.26 overflows)
+        [3082.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        # finite terms whose sum overflows
+        [3080.0] * 8,
+    ],
+)
+def test_a_linear_mean_beyond_the_double_range_raises(edge_db):
+    with pytest.raises(ValueError, match="largest double"):
+        edge_stats(_map_of(edge_db), _edge_of_map())
+
+
+def test_the_largest_finite_means_match_the_written_out_oracle():
+    # just inside the double range: a sum of 8e307, and one term of 10 ** 308.25
+    for edge_db in ([3070.0] * 8, [3082.5] + [-math.inf] * 7):
+        sinr_map = _map_of(edge_db)
+        assert _bits(edge_stats(sinr_map, _edge_of_map())) == _bits(_written_out(sinr_map))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowing_edge_mean_is_a_clean_error(tmp_path, capsys):
+    # noise power 1e-320: finite edge SINR near 3000 dB whose linear sum overflows
+    with pytest.raises(ValueError, match="largest double"):
+        coverage.edge_stats_direct(_silent_macro(1e-320))
+    config = tmp_path / "tiny-noise.conf"
+    config.write_text("noise_power = 1e-320\nmacro_bs_power = 0\n")
+    out = tmp_path / "compare.csv"
+    assert run(["compare", "--config", str(config), "--out", str(out)]) == 1
+    assert "largest double" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Unit tests for candidate enumeration, ranking, and model comparison."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -54,6 +55,42 @@ class TestEnumerateCandidates:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             GridSweep(CellExtent(0, 0, 10, 10), 0.0, 5.0)
+
+
+
+class TestSweepAxis:
+    """Grid sweep ticks end on the far boundary, with no near-duplicate before it."""
+
+    @staticmethod
+    def _axis(span, step):
+        spec = GridSweep(CellExtent(0.0, 0.0, span, step), step, 5.0)
+        return [p.x for p in enumerate_candidates(spec) if p.y == 0.0]
+
+    @pytest.mark.parametrize("span, step, ticks", [(7.2, 0.48, 16), (248.92, 2.54, 99)])
+    def test_a_step_that_divides_the_span_ends_on_the_boundary(self, span, step, ticks):
+        xs = self._axis(span, step)
+        assert len(xs) == ticks
+        assert xs[-1] == span
+        assert xs[-2] == (ticks - 2) * step
+
+    def test_a_step_that_does_not_divide_the_span_appends_the_boundary(self):
+        assert self._axis(10.0, 3.0) == [0.0, 3.0, 6.0, 9.0, 10.0]
+        assert self._axis(2.0, 4.0) == [0.0, 2.0]
+
+    def test_steps_of_span_over_n(self):
+        rng = random.Random(84)
+        for _ in range(2000):
+            span = round(rng.uniform(0.5, 500.0), 2)
+            step = span / rng.randint(1, 200)
+            xs = self._axis(span, step)
+            assert xs[-1] == span
+            assert len(xs) == coverage._steps(span, step) + 1
+            assert min(b - a for a, b in zip(xs, xs[1:])) >= step / 2
+
+    def test_an_offset_origin_keeps_the_boundary(self):
+        spec = GridSweep(CellExtent(-3.7, 12.25, 7.2, 248.92), 0.48, 5.0)
+        xs = sorted({p.x for p in enumerate_candidates(spec)})
+        assert len(xs) == 16 and xs[-1] == -3.7 + 7.2
 
 
 class TestEvaluatePlacement:
