@@ -2,7 +2,10 @@
 
 A map samples the user plane on a regular lattice: nx = floor(width /
 resolution) + 1 columns and ny = floor(depth / resolution) + 1 rows,
-stored row-major (the row index varies slowest).  A ratio that falls
+stored row-major (the row index varies slowest).  The coordinates along
+each side are origin + resolution * k, written once in _axis; grids,
+maps, edges, CSV text and placement's grid sweeps all take theirs from
+it, so they agree to the bit.  A ratio that falls
 within a few ulp below an integer counts as that integer, so 0.3 / 0.1
 (2.9999999999999996 in floats) gives 4 columns and the last column lies
 on the far boundary, within one ulp, instead of a step inside it.
@@ -131,6 +134,11 @@ def _steps(length: float, resolution: float) -> int:
     return round(ratio) if _is_whole(ratio) else math.floor(ratio)
 
 
+def _axis(origin: float, length: float, step: float) -> np.ndarray:
+    """Lattice coordinates along one side: origin + step * k for k = 0 .. _steps."""
+    return origin + step * np.arange(_steps(length, step) + 1, dtype=np.float64)
+
+
 def grid_shape(extent: CellExtent, resolution: float) -> tuple[int, int]:
     """Lattice dimensions (nx, ny) for an extent at a resolution."""
     _check_resolution(extent, resolution)
@@ -143,14 +151,8 @@ def build_grid(extent: CellExtent, resolution: float, user_height: float) -> lis
     Points are ordered row-major: the y index varies slowest and the x
     index fastest, which fixes the serialization order of every map.
     """
-    nx, ny = grid_shape(extent, resolution)
-    points = []
-    for j in range(ny):
-        y = extent.origin_y + j * resolution
-        for i in range(nx):
-            x = extent.origin_x + i * resolution
-            points.append(Position3D(x, y, user_height))
-    return points
+    xs, ys = (axis.tolist() for axis in _grid_axes(extent, resolution))
+    return [Position3D(x, y, user_height) for y in ys for x in xs]
 
 
 def cell_edge_points(
@@ -162,10 +164,11 @@ def cell_edge_points(
 
 
 def _grid_axes(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    nx, ny = grid_shape(extent, resolution)
-    xs = extent.origin_x + resolution * np.arange(nx, dtype=np.float64)
-    ys = extent.origin_y + resolution * np.arange(ny, dtype=np.float64)
-    return xs, ys
+    _check_resolution(extent, resolution)
+    return (
+        _axis(extent.origin_x, extent.width, resolution),
+        _axis(extent.origin_y, extent.depth, resolution),
+    )
 
 
 def _lattice_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +186,7 @@ def _perimeter(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.nd
     """x and y of the lattice perimeter in grid order.
 
     That is the first row, both ends of each inner row, then the last
-    row; grid_shape guarantees at least two rows and two columns.
+    row; _check_resolution guarantees at least two rows and two columns.
     """
     xs, ys = _grid_axes(extent, resolution)
     inner = ys[1:-1]
@@ -277,7 +280,9 @@ def _sinr_db(
     dead: np.ndarray,
 ) -> np.ndarray:
     """SINR in dB, with the sentinel at zero signal and at dead points."""
-    with np.errstate(divide="ignore"):
+    # a noise power near the bottom of the double range overflows the
+    # linear SINR to +inf, which becomes +inf dB on purpose
+    with np.errstate(divide="ignore", over="ignore"):
         linear = signal / (interference + scenario.env.noise_power)
         db = np.where(linear > 0.0, 10.0 * np.log10(np.where(linear > 0.0, linear, 1.0)), SENTINEL_DB)
     return np.where(dead, SENTINEL_DB, db)
@@ -359,19 +364,18 @@ def sinr_map_irs(scenario: "Scenario") -> SinrMap:
     return _as_map(scenario, _map_blocks(scenario, irs=True))
 
 
-def _lattice_index(sinr_map: SinrMap, point: Position3D) -> int:
+def _lattice_index(sinr_map: SinrMap, xs: list[float], ys: list[float], point: Position3D) -> int:
+    """Flat index of a point of the map lattice whose axes are xs and ys."""
     if point.z != sinr_map.user_height:
         raise ValueError("point height does not match the map's user height")
     extent = sinr_map.extent
-    res = sinr_map.resolution
-    nx, ny = grid_shape(extent, res)
-    i = round((point.x - extent.origin_x) / res)
-    j = round((point.y - extent.origin_y) / res)
-    if not (0 <= i < nx and 0 <= j < ny):
+    i = round((point.x - extent.origin_x) / sinr_map.resolution)
+    j = round((point.y - extent.origin_y) / sinr_map.resolution)
+    if not (0 <= i < len(xs) and 0 <= j < len(ys)):
         raise ValueError("point lies outside the map lattice")
-    if extent.origin_x + i * res != point.x or extent.origin_y + j * res != point.y:
+    if xs[i] != point.x or ys[j] != point.y:
         raise ValueError("point is not on the map lattice")
-    return j * nx + i
+    return j * len(xs) + i
 
 
 def _exact_row_sums(terms: np.ndarray) -> list[float]:
@@ -457,7 +461,8 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
     """
     if len(edge) == 0:
         raise ValueError("edge point set must not be empty")
-    index = [_lattice_index(sinr_map, p) for p in edge]
+    xs, ys = (axis.tolist() for axis in _grid_axes(sinr_map.extent, sinr_map.resolution))
+    index = [_lattice_index(sinr_map, xs, ys, p) for p in edge]
     return _summarize(sinr_map.values[index][None, :])[0]
 
 
@@ -504,6 +509,9 @@ def edge_stats_reflected(
         signal, dead = _reflected_signal(scenario, positions[start:stop], r1[start:stop], x, y)
         dead = dead | dead_i
         _warn_dead(int(np.count_nonzero(dead)), stacklevel=2)
+        # signal and dead must stay referenced until _summarize has run:
+        # freed earlier, malloc trims their memory and the next batch
+        # faults it back in, which costs about 40% more time per sweep
         stats.extend(_summarize(_sinr_db(scenario, signal, interference, dead)))
     return stats
 
@@ -521,19 +529,17 @@ def _csv_rows(
 ) -> Iterator[str]:
     """The CSV text of a map: the header line, then one string per lattice row.
 
-    `blocks` hold the map's values in grid order, in whole rows.  Each x
-    coordinate is formatted once per map and each y once per row.
+    `blocks` hold the map's values in grid order, in whole rows.  Each
+    coordinate is formatted once per map.
     """
-    nx = grid_shape(extent, resolution)[0]
-    xs = [format_value(extent.origin_x + i * resolution) for i in range(nx)]
+    xs, ys = (list(map(format_value, axis.tolist())) for axis in _grid_axes(extent, resolution))
+    nx = len(xs)
     yield "x_m,y_m,sinr_db\n"
-    j = 0
+    rows = iter(ys)
     for block in blocks:
         values = map(repr, block.tolist())  # format_value, unrolled
-        for _ in range(len(block) // nx):
-            y = format_value(extent.origin_y + j * resolution)
+        for y in islice(rows, len(block) // nx):
             yield "".join([f"{x},{y},{v}\n" for x, v in zip(xs, islice(values, nx))])
-            j += 1
 
 
 def map_to_csv(sinr_map: SinrMap) -> str:

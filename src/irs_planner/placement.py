@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .coverage import (
     CellExtent,
     EdgeStats,
+    _axis,
     _is_whole,
-    _steps,
     edge_stats_direct,
     edge_stats_reflected,
     format_value,
@@ -86,13 +86,12 @@ class ComparisonReport:
 def _sweep_axis(origin: float, span: float, step: float) -> list[float]:
     """Ticks every step from origin, ending on the far boundary origin + span.
 
-    Steps are counted as the map lattice counts them (coverage._steps).  A
-    last tick that stands for the boundary, because it equals it or span /
-    step is within a few ulp of an integer, is replaced by the boundary;
-    otherwise the boundary is appended after it.
+    The ticks are the map lattice's (coverage._axis).  A last tick that
+    stands for the boundary, because it equals it or span / step is within
+    a few ulp of an integer, is replaced by the boundary; otherwise the
+    boundary is appended after it.
     """
-    steps = _steps(span, step)
-    ticks = [origin + k * step for k in range(steps + 1)]
+    ticks = _axis(origin, span, step).tolist()
     far = origin + span
     if ticks[-1] == far or _is_whole(span / step):
         ticks[-1] = far

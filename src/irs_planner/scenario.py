@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .coverage import CellExtent
 from .linkbudget import (
@@ -63,54 +63,25 @@ class ConfigError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
-def _default_env() -> RadioEnvironment:
-    return RadioEnvironment(
-        carrier_frequency=DEFAULT_CARRIER_FREQUENCY,
-        noise_power=DEFAULT_NOISE_POWER,
-        pathloss_exponent_micro=DEFAULT_PATHLOSS_EXPONENT_MICRO,
-        pathloss_exponent_macro=DEFAULT_PATHLOSS_EXPONENT_MACRO,
-    )
-
-
-def _default_macro_bs() -> InterferenceSource:
-    cx, cy = DEFAULT_MACRO_EXTENT.center()
-    return InterferenceSource(
-        transmit_power=DEFAULT_MACRO_BS_POWER,
-        position=Position3D(cx, cy, DEFAULT_MACRO_BS_HEIGHT),
-        pathloss_exponent=DEFAULT_PATHLOSS_EXPONENT_MACRO,
-    )
-
-
-def _default_panel() -> IrsPanel:
-    wl = _default_env().wavelength
-    return IrsPanel(
-        elements_m=DEFAULT_IRS_ELEMENTS,
-        elements_n=DEFAULT_IRS_ELEMENTS,
-        element_len_x=wl / 2.0,
-        element_len_y=wl / 2.0,
-        reflection_coefficient=DEFAULT_REFLECTION_COEFFICIENT,
-        gain_tx=db_to_linear(DEFAULT_GAIN_TX_DB),
-        gain_rx=db_to_linear(DEFAULT_GAIN_RX_DB),
-        position=DEFAULT_IRS_POSITION,
-        angle_mode=FixedAngles(DEFAULT_INCIDENCE_ANGLE, DEFAULT_INCIDENCE_ANGLE),
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """A complete two-tier planning scenario."""
+    """A complete two-tier planning scenario.
 
-    env: RadioEnvironment = field(default_factory=_default_env)
-    macro_extent: CellExtent = DEFAULT_MACRO_EXTENT
-    micro_extent: CellExtent = DEFAULT_MICRO_EXTENT
-    macro_bs: InterferenceSource = field(default_factory=_default_macro_bs)
-    micro_bs_position: Position3D = DEFAULT_MICRO_BS_POSITION
-    micro_power_conventional: float = DEFAULT_MICRO_POWER_CONVENTIONAL
-    micro_power_irs: float = DEFAULT_MICRO_POWER_IRS
-    panel: IrsPanel = field(default_factory=_default_panel)
-    user_height: float = DEFAULT_USER_HEIGHT
-    grid_resolution: float = DEFAULT_GRID_RESOLUTION
-    objective: Objective = Objective.EDGE_MIN
+    Every field is required: default_scenario, parse_scenario and
+    load_scenario supply the defaults.
+    """
+
+    env: RadioEnvironment
+    macro_extent: CellExtent
+    micro_extent: CellExtent
+    macro_bs: InterferenceSource
+    micro_bs_position: Position3D
+    micro_power_conventional: float
+    micro_power_irs: float
+    panel: IrsPanel
+    user_height: float
+    grid_resolution: float
+    objective: Objective
 
     def __post_init__(self) -> None:
         if not self.macro_extent.contains(self.micro_extent):
@@ -130,8 +101,8 @@ class Scenario:
 
 
 def default_scenario() -> Scenario:
-    """The all-defaults scenario."""
-    return Scenario()
+    """The all-defaults scenario: the config text with no keys."""
+    return parse_scenario("")
 
 
 # Configuration schema: key -> how to apply one parsed value.  Triples

@@ -9,6 +9,7 @@ here from the map's lattice indices.
 
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -258,7 +259,6 @@ def _edge_of_map():
     return cell_edge_points(_SMALL_CELL, 1.0, 1.5)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_infinite_sinr_on_the_edge_gives_an_infinite_mean():
     # a noise power of one subnormal: the linear SINR overflows to +inf everywhere
     scenario = _silent_macro(5e-324)
@@ -267,6 +267,19 @@ def test_infinite_sinr_on_the_edge_gives_an_infinite_mean():
     position = Position3D(0.0, 200.0, 5.0)
     assert coverage.edge_stats_reflected(scenario, [position]) == [EdgeStats(inf, inf, inf, 800)]
     assert evaluate_placement(scenario, position, Objective.EDGE_MEAN).objective_db == inf
+
+
+def test_an_overflowing_linear_sinr_warns_nothing(tmp_path):
+    # the +inf from dividing by a subnormal noise power is handled on purpose,
+    # so numpy's overflow warning must not reach the command line's stderr
+    config = tmp_path / "subnormal-noise.conf"
+    config.write_text("noise_power = 5e-324\nmacro_bs_power = 0\n")
+    for command in ("compare", "map-conv"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = tmp_path / f"{command}.csv"
+            assert run([command, "--config", str(config), "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
 
 
 def test_a_row_holding_inf_has_an_infinite_mean_whatever_else_it_holds():
@@ -297,7 +310,6 @@ def test_the_largest_finite_means_match_the_written_out_oracle():
         assert _bits(edge_stats(sinr_map, _edge_of_map())) == _bits(_written_out(sinr_map))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_an_overflowing_edge_mean_is_a_clean_error(tmp_path, capsys):
     # noise power 1e-320: finite edge SINR near 3000 dB whose linear sum overflows
     with pytest.raises(ValueError, match="largest double"):
