@@ -302,6 +302,14 @@ def _warn_dead(count: int, stacklevel: int) -> None:
         )
 
 
+def _panel_hop(scenario: "Scenario", position: Position3D) -> float:
+    """Distance from the base station to one panel position; zero raises ValueError."""
+    r1 = distance(scenario.micro_bs_position, position)
+    if r1 == 0.0:
+        raise ValueError("panel position coincides with the base station")
+    return r1
+
+
 def _map_blocks(scenario: "Scenario", irs: bool) -> Iterator[np.ndarray]:
     """SINR in dB over the map lattice, one flat block of whole rows at a time.
 
@@ -313,9 +321,7 @@ def _map_blocks(scenario: "Scenario", irs: bool) -> Iterator[np.ndarray]:
     if not irs:
         return _blocks(scenario, lambda x, y: _direct_signal(scenario, x, y), xs, ys)
     position = scenario.panel.position
-    r1 = distance(scenario.micro_bs_position, position)
-    if r1 == 0.0:
-        raise ValueError("panel position coincides with the base station")
+    r1 = _panel_hop(scenario, position)
     return _blocks(
         scenario, lambda x, y: _reflected_signal(scenario, [position], [r1], x, y), xs, ys
     )

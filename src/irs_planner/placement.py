@@ -17,6 +17,7 @@ from .coverage import (
     EdgeStats,
     _axis,
     _is_whole,
+    _panel_hop,
     edge_stats_direct,
     edge_stats_reflected,
     format_value,
@@ -128,7 +129,11 @@ def _result(position: Position3D, stats: EdgeStats, objective: Objective) -> Pla
 def evaluate_placement(
     scenario: Scenario, irs_position: Position3D, objective: Objective
 ) -> PlacementResult:
-    """Score one panel position by the requested cell-edge statistic."""
+    """Score one panel position by the requested cell-edge statistic.
+
+    A position on the base station raises ValueError.
+    """
+    _panel_hop(scenario, irs_position)
     [stats] = edge_stats_reflected(scenario, [irs_position])
     return _result(irs_position, stats, objective)
 
@@ -137,13 +142,11 @@ def optimize_placement(
     scenario: Scenario,
     spec: CandidateSpec,
     objective: Objective,
-    max_workers: int = 1,
 ) -> list[PlacementResult]:
     """Rank every candidate, best objective first.
 
     Candidates are scored on the cell edge only, in batches of bounded
-    size on the calling thread; `max_workers` is accepted for existing
-    callers and starts no threads.  A candidate on the base station
+    size on the calling thread.  A candidate on the base station
     rejects the whole run with ValueError, naming the candidate, before
     any scoring.  Ties order by distance from the service area's ground
     center, then by (x, y, z).

@@ -3,17 +3,22 @@
 A scenario bundles everything one planning run needs: the radio
 environment, the two-tier cell geometry, both serving powers, the panel,
 and the sampling settings.  Config files are plain ``key = value`` lines
-with ``#`` comments; omitted keys fall back to the documented defaults,
-unknown keys are hard errors.  Values use SI units (hertz, watts,
-meters, radians); ``_db``/``_dbm``/``_deg`` key variants are converted
-at load time.
+with ``#`` comments; omitted keys fall back to the defaults, unknown keys
+are hard errors, and of several bad lines the first is reported.  Values
+use SI units (hertz, watts, meters, radians).
+
+The format is written once, as two tables: ``_DEFAULTS`` lists every key
+with its default in dump order, and ``_VARIANTS`` maps each
+``_db``/``_dbm``/``_deg`` key variant to the key it replaces and its
+conversion.  Parsing, the defaults and ``dump_scenario`` all read them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from typing import Callable
 
 from .coverage import CellExtent
 from .linkbudget import (
@@ -25,31 +30,6 @@ from .linkbudget import (
     db_to_linear,
 )
 from .sinr import InterferenceSource
-
-# Default radio parameters.
-DEFAULT_CARRIER_FREQUENCY = 130e9  # Hz
-DEFAULT_NOISE_POWER = 1e-12  # W, equals -90 dBm
-DEFAULT_PATHLOSS_EXPONENT_MICRO = 3.0
-DEFAULT_PATHLOSS_EXPONENT_MACRO = 4.0
-DEFAULT_MACRO_BS_POWER = 50.0  # W
-DEFAULT_MICRO_POWER_CONVENTIONAL = 10.0  # W
-DEFAULT_MICRO_POWER_IRS = 1.0  # W
-DEFAULT_IRS_ELEMENTS = 128  # per panel axis
-DEFAULT_REFLECTION_COEFFICIENT = 0.9
-DEFAULT_GAIN_TX_DB = 20.0
-DEFAULT_GAIN_RX_DB = 15.0
-DEFAULT_INCIDENCE_ANGLE = math.pi / 4  # rad
-
-# Default layout: a 200 m micro cell in the corner of a 1000 m macro cell,
-# the macro station at the macro-cell center, the micro station and panel
-# at the micro-cell center.
-DEFAULT_MACRO_EXTENT = CellExtent(0.0, 0.0, 1000.0, 1000.0)
-DEFAULT_MICRO_EXTENT = CellExtent(0.0, 0.0, 200.0, 200.0)
-DEFAULT_MACRO_BS_HEIGHT = 10.0  # m
-DEFAULT_MICRO_BS_POSITION = Position3D(100.0, 100.0, 5.0)
-DEFAULT_IRS_POSITION = Position3D(100.0, 100.0, 6.0)
-DEFAULT_USER_HEIGHT = 1.5  # m
-DEFAULT_GRID_RESOLUTION = 1.0  # m
 
 
 class Objective(enum.Enum):
@@ -105,60 +85,58 @@ def default_scenario() -> Scenario:
     return parse_scenario("")
 
 
-# Configuration schema: key -> how to apply one parsed value.  Triples
-# (positions, the panel normal) are spelled as comma-separated floats.
-_FLOAT_KEYS = {
-    "carrier_frequency",
-    "noise_power",
-    "noise_power_dbm",
-    "pathloss_exponent_micro",
-    "pathloss_exponent_macro",
-    "macro_origin_x",
-    "macro_origin_y",
-    "macro_width",
-    "macro_depth",
-    "micro_origin_x",
-    "micro_origin_y",
-    "micro_width",
-    "micro_depth",
-    "macro_bs_power",
-    "macro_bs_x",
-    "macro_bs_y",
-    "macro_bs_z",
-    "micro_bs_x",
-    "micro_bs_y",
-    "micro_bs_z",
-    "micro_power_conventional",
-    "micro_power_irs",
-    "irs_x",
-    "irs_y",
-    "irs_z",
-    "irs_element_len_x",
-    "irs_element_len_y",
-    "irs_reflection_coefficient",
-    "irs_gain_tx",
-    "irs_gain_rx",
-    "irs_gain_tx_db",
-    "irs_gain_rx_db",
-    "irs_theta_t_rad",
-    "irs_theta_r_rad",
-    "irs_theta_t_deg",
-    "irs_theta_r_deg",
-    "user_height",
-    "grid_resolution",
+# Every key in dump order with its default.  None marks a derived default:
+# the macro station at the macro-cell center, elements half a wavelength
+# long, fixed angles unless irs_normal is given.  The micro cell (200 m) sits
+# in a corner of the macro cell (1000 m), its station and panel at its center.
+_DEFAULTS: dict[str, object] = {
+    "carrier_frequency": 130e9,  # Hz
+    "noise_power": 1e-12,  # W, equals -90 dBm
+    "pathloss_exponent_micro": 3.0,
+    "pathloss_exponent_macro": 4.0,
+    "macro_origin_x": 0.0,
+    "macro_origin_y": 0.0,
+    "macro_width": 1000.0,
+    "macro_depth": 1000.0,
+    "micro_origin_x": 0.0,
+    "micro_origin_y": 0.0,
+    "micro_width": 200.0,
+    "micro_depth": 200.0,
+    "macro_bs_power": 50.0,  # W
+    "macro_bs_x": None,
+    "macro_bs_y": None,
+    "macro_bs_z": 10.0,
+    "micro_bs_x": 100.0,
+    "micro_bs_y": 100.0,
+    "micro_bs_z": 5.0,
+    "micro_power_conventional": 10.0,  # W
+    "micro_power_irs": 1.0,  # W
+    "irs_x": 100.0,
+    "irs_y": 100.0,
+    "irs_z": 6.0,
+    "irs_elements_m": 128,  # an int default makes an int key
+    "irs_elements_n": 128,
+    "irs_element_len_x": None,
+    "irs_element_len_y": None,
+    "irs_reflection_coefficient": 0.9,
+    "irs_gain_tx": db_to_linear(20.0),
+    "irs_gain_rx": db_to_linear(15.0),
+    "irs_theta_t_rad": math.pi / 4,
+    "irs_theta_r_rad": math.pi / 4,
+    "irs_normal": None,  # x,y,z; selects per-endpoint angles
+    "user_height": 1.5,
+    "grid_resolution": 1.0,
+    "objective": Objective.EDGE_MIN.value,
 }
-_INT_KEYS = {"irs_elements_m", "irs_elements_n"}
-_TRIPLE_KEYS = {"irs_normal"}
-_CHOICE_KEYS = {"objective": ("min", "mean")}
-_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _TRIPLE_KEYS | set(_CHOICE_KEYS)
 
-_EXCLUSIVE_PAIRS = [
-    ("noise_power", "noise_power_dbm"),
-    ("irs_gain_tx", "irs_gain_tx_db"),
-    ("irs_gain_rx", "irs_gain_rx_db"),
-    ("irs_theta_t_rad", "irs_theta_t_deg"),
-    ("irs_theta_r_rad", "irs_theta_r_deg"),
-]
+# Unit variants: key -> (the key it replaces, conversion to that key's unit).
+_VARIANTS: dict[str, tuple[str, Callable[[float], float]]] = {
+    "noise_power_dbm": ("noise_power", lambda dbm: db_to_linear(dbm) * 1e-3),
+    "irs_gain_tx_db": ("irs_gain_tx", db_to_linear),
+    "irs_gain_rx_db": ("irs_gain_rx", db_to_linear),
+    "irs_theta_t_deg": ("irs_theta_t_rad", math.radians),
+    "irs_theta_r_deg": ("irs_theta_r_rad", math.radians),
+}
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -174,7 +152,7 @@ def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        if key not in _KNOWN_KEYS:
+        if key not in _DEFAULTS and key not in _VARIANTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
@@ -192,156 +170,106 @@ def _cast_float(key: str, value: str, lineno: int) -> float:
     return parsed
 
 
-def _cast_int(key: str, value: str, lineno: int) -> int:
+def _cast(key: str, value: str, lineno: int) -> object:
+    """One value in the type its key takes, converted to the base unit."""
+    if key == "objective":
+        if value not in ("min", "mean"):
+            raise ConfigError(f"line {lineno}: objective: must be 'min' or 'mean'")
+        return value
+    if isinstance(_DEFAULTS.get(key), int):
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key}: not an integer: '{value}'") from None
+    if key == "irs_normal":
+        parts = [p.strip() for p in value.split(",")]
+        if len(parts) != 3:
+            raise ConfigError(f"line {lineno}: {key}: expected three comma-separated values")
+        nx, ny, nz = (_cast_float(key, p, lineno) for p in parts)
+        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+        if norm == 0.0:
+            raise ConfigError(f"line {lineno}: {key}: must be non-zero")
+        # skip the division for unit input so reloading a dump is a no-op
+        return (nx, ny, nz) if abs(norm - 1.0) <= 1e-12 else (nx / norm, ny / norm, nz / norm)
+    parsed = _cast_float(key, value, lineno)
+    if key not in _VARIANTS:
+        return parsed
     try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key}: not an integer: '{value}'") from None
+        return _VARIANTS[key][1](parsed)
+    except OverflowError:
+        raise ConfigError(f"line {lineno}: {key}: value out of range") from None
 
 
-def _cast_triple(key: str, value: str, lineno: int) -> tuple[float, float, float]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"line {lineno}: {key}: expected three comma-separated values")
-    x, y, z = (_cast_float(key, p, lineno) for p in parts)
-    return (x, y, z)
+def _build(v: dict[str, object]) -> Scenario:
+    """The Scenario of a full flat key -> value map, derived defaults resolved."""
+    env = RadioEnvironment(
+        v["carrier_frequency"],
+        v["noise_power"],
+        v["pathloss_exponent_micro"],
+        v["pathloss_exponent_macro"],
+    )
+    macro_extent = CellExtent(
+        v["macro_origin_x"], v["macro_origin_y"], v["macro_width"], v["macro_depth"]
+    )
+    center_x, center_y = macro_extent.center()
+    half_wave = env.wavelength / 2.0
+    return Scenario(
+        env=env,
+        macro_extent=macro_extent,
+        micro_extent=CellExtent(
+            v["micro_origin_x"], v["micro_origin_y"], v["micro_width"], v["micro_depth"]
+        ),
+        macro_bs=InterferenceSource(
+            transmit_power=v["macro_bs_power"],
+            position=Position3D(
+                center_x if v["macro_bs_x"] is None else v["macro_bs_x"],
+                center_y if v["macro_bs_y"] is None else v["macro_bs_y"],
+                v["macro_bs_z"],
+            ),
+            pathloss_exponent=env.pathloss_exponent_macro,
+        ),
+        micro_bs_position=Position3D(v["micro_bs_x"], v["micro_bs_y"], v["micro_bs_z"]),
+        micro_power_conventional=v["micro_power_conventional"],
+        micro_power_irs=v["micro_power_irs"],
+        panel=IrsPanel(
+            elements_m=v["irs_elements_m"],
+            elements_n=v["irs_elements_n"],
+            element_len_x=half_wave if v["irs_element_len_x"] is None else v["irs_element_len_x"],
+            element_len_y=half_wave if v["irs_element_len_y"] is None else v["irs_element_len_y"],
+            reflection_coefficient=v["irs_reflection_coefficient"],
+            gain_tx=v["irs_gain_tx"],
+            gain_rx=v["irs_gain_rx"],
+            position=Position3D(v["irs_x"], v["irs_y"], v["irs_z"]),
+            angle_mode=(
+                FixedAngles(v["irs_theta_t_rad"], v["irs_theta_r_rad"])
+                if v["irs_normal"] is None
+                else GeometricAngles(v["irs_normal"])
+            ),
+        ),
+        user_height=v["user_height"],
+        grid_resolution=v["grid_resolution"],
+        objective=Objective(v["objective"]),
+    )
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Build a Scenario from config text, applying defaults for omitted keys."""
+    """Build a Scenario from config text, applying defaults for omitted keys.
+
+    Of several bad lines, the first in the file is reported.
+    """
     entries = _parse_lines(text)
-    for first, second in _EXCLUSIVE_PAIRS:
-        if first in entries and second in entries:
-            raise ConfigError(f"keys '{first}' and '{second}' are mutually exclusive")
+    for variant, (key, _) in _VARIANTS.items():
+        if key in entries and variant in entries:
+            raise ConfigError(f"keys '{key}' and '{variant}' are mutually exclusive")
     if "irs_normal" in entries:
         for key in ("irs_theta_t_rad", "irs_theta_r_rad", "irs_theta_t_deg", "irs_theta_r_deg"):
             if key in entries:
                 raise ConfigError(f"keys '{key}' and 'irs_normal' are mutually exclusive")
-
-    def take_float(key: str, default: float) -> float:
-        if key not in entries:
-            return default
-        value, lineno = entries[key]
-        return _cast_float(key, value, lineno)
-
-    def take_int(key: str, default: int) -> int:
-        if key not in entries:
-            return default
-        value, lineno = entries[key]
-        return _cast_int(key, value, lineno)
-
+    values = dict(_DEFAULTS)
+    for key, (value, lineno) in entries.items():
+        values[_VARIANTS[key][0] if key in _VARIANTS else key] = _cast(key, value, lineno)
     try:
-        env = RadioEnvironment(
-            carrier_frequency=take_float("carrier_frequency", DEFAULT_CARRIER_FREQUENCY),
-            noise_power=(
-                db_to_linear(take_float("noise_power_dbm", 0.0)) * 1e-3
-                if "noise_power_dbm" in entries
-                else take_float("noise_power", DEFAULT_NOISE_POWER)
-            ),
-            pathloss_exponent_micro=take_float(
-                "pathloss_exponent_micro", DEFAULT_PATHLOSS_EXPONENT_MICRO
-            ),
-            pathloss_exponent_macro=take_float(
-                "pathloss_exponent_macro", DEFAULT_PATHLOSS_EXPONENT_MACRO
-            ),
-        )
-        macro_extent = CellExtent(
-            take_float("macro_origin_x", DEFAULT_MACRO_EXTENT.origin_x),
-            take_float("macro_origin_y", DEFAULT_MACRO_EXTENT.origin_y),
-            take_float("macro_width", DEFAULT_MACRO_EXTENT.width),
-            take_float("macro_depth", DEFAULT_MACRO_EXTENT.depth),
-        )
-        micro_extent = CellExtent(
-            take_float("micro_origin_x", DEFAULT_MICRO_EXTENT.origin_x),
-            take_float("micro_origin_y", DEFAULT_MICRO_EXTENT.origin_y),
-            take_float("micro_width", DEFAULT_MICRO_EXTENT.width),
-            take_float("micro_depth", DEFAULT_MICRO_EXTENT.depth),
-        )
-        default_macro_center = macro_extent.center()
-        macro_bs = InterferenceSource(
-            transmit_power=take_float("macro_bs_power", DEFAULT_MACRO_BS_POWER),
-            position=Position3D(
-                take_float("macro_bs_x", default_macro_center[0]),
-                take_float("macro_bs_y", default_macro_center[1]),
-                take_float("macro_bs_z", DEFAULT_MACRO_BS_HEIGHT),
-            ),
-            pathloss_exponent=env.pathloss_exponent_macro,
-        )
-        micro_bs_position = Position3D(
-            take_float("micro_bs_x", DEFAULT_MICRO_BS_POSITION.x),
-            take_float("micro_bs_y", DEFAULT_MICRO_BS_POSITION.y),
-            take_float("micro_bs_z", DEFAULT_MICRO_BS_POSITION.z),
-        )
-        if "irs_gain_tx_db" in entries:
-            gain_tx = db_to_linear(take_float("irs_gain_tx_db", DEFAULT_GAIN_TX_DB))
-        else:
-            gain_tx = take_float("irs_gain_tx", db_to_linear(DEFAULT_GAIN_TX_DB))
-        if "irs_gain_rx_db" in entries:
-            gain_rx = db_to_linear(take_float("irs_gain_rx_db", DEFAULT_GAIN_RX_DB))
-        else:
-            gain_rx = take_float("irs_gain_rx", db_to_linear(DEFAULT_GAIN_RX_DB))
-        angle_mode: FixedAngles | GeometricAngles
-        if "irs_normal" in entries:
-            value, lineno = entries["irs_normal"]
-            nx, ny, nz = _cast_triple("irs_normal", value, lineno)
-            norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-            if norm == 0.0:
-                raise ConfigError(f"line {lineno}: irs_normal: must be non-zero")
-            # skip the division for unit input so reloading a dump is a no-op
-            if abs(norm - 1.0) > 1e-12:
-                nx, ny, nz = nx / norm, ny / norm, nz / norm
-            angle_mode = GeometricAngles((nx, ny, nz))
-        else:
-            if "irs_theta_t_deg" in entries:
-                theta_t = math.radians(take_float("irs_theta_t_deg", 45.0))
-            else:
-                theta_t = take_float("irs_theta_t_rad", DEFAULT_INCIDENCE_ANGLE)
-            if "irs_theta_r_deg" in entries:
-                theta_r = math.radians(take_float("irs_theta_r_deg", 45.0))
-            else:
-                theta_r = take_float("irs_theta_r_rad", DEFAULT_INCIDENCE_ANGLE)
-            angle_mode = FixedAngles(theta_t, theta_r)
-        half_wave = env.wavelength / 2.0
-        panel = IrsPanel(
-            elements_m=take_int("irs_elements_m", DEFAULT_IRS_ELEMENTS),
-            elements_n=take_int("irs_elements_n", DEFAULT_IRS_ELEMENTS),
-            element_len_x=take_float("irs_element_len_x", half_wave),
-            element_len_y=take_float("irs_element_len_y", half_wave),
-            reflection_coefficient=take_float(
-                "irs_reflection_coefficient", DEFAULT_REFLECTION_COEFFICIENT
-            ),
-            gain_tx=gain_tx,
-            gain_rx=gain_rx,
-            position=Position3D(
-                take_float("irs_x", DEFAULT_IRS_POSITION.x),
-                take_float("irs_y", DEFAULT_IRS_POSITION.y),
-                take_float("irs_z", DEFAULT_IRS_POSITION.z),
-            ),
-            angle_mode=angle_mode,
-        )
-        objective = Objective.EDGE_MIN
-        if "objective" in entries:
-            value, lineno = entries["objective"]
-            if value not in _CHOICE_KEYS["objective"]:
-                raise ConfigError(f"line {lineno}: objective: must be 'min' or 'mean'")
-            objective = Objective(value)
-        return Scenario(
-            env=env,
-            macro_extent=macro_extent,
-            micro_extent=micro_extent,
-            macro_bs=macro_bs,
-            micro_bs_position=micro_bs_position,
-            micro_power_conventional=take_float(
-                "micro_power_conventional", DEFAULT_MICRO_POWER_CONVENTIONAL
-            ),
-            micro_power_irs=take_float("micro_power_irs", DEFAULT_MICRO_POWER_IRS),
-            panel=panel,
-            user_height=take_float("user_height", DEFAULT_USER_HEIGHT),
-            grid_resolution=take_float("grid_resolution", DEFAULT_GRID_RESOLUTION),
-            objective=objective,
-        )
-    except ConfigError:
-        raise
+        return _build(values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -356,60 +284,44 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(text)
 
 
+def _values(scenario: Scenario) -> tuple:
+    """The scenario's value of each _DEFAULTS key, in that order; None if unset."""
+    panel, mode = scenario.panel, scenario.panel.angle_mode
+    fixed = isinstance(mode, FixedAngles)
+    return (
+        *astuple(scenario.env),
+        *astuple(scenario.macro_extent),
+        *astuple(scenario.micro_extent),
+        scenario.macro_bs.transmit_power,
+        *astuple(scenario.macro_bs.position),
+        *astuple(scenario.micro_bs_position),
+        scenario.micro_power_conventional,
+        scenario.micro_power_irs,
+        *astuple(panel.position),
+        *astuple(panel)[:7],  # elements_m through gain_rx
+        *((mode.theta_t, mode.theta_r, None) if fixed else (None, None, mode.normal)),
+        scenario.user_height,
+        scenario.grid_resolution,
+        scenario.objective.value,
+    )
+
+
+def _format(value: object) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
 def dump_scenario(scenario: Scenario) -> str:
     """Render a scenario as config text that reloads to an equal scenario.
 
-    Emits the linear/radian key variants so every float survives the
-    round trip exactly.
+    Emits the keys of _DEFAULTS, in that order, never the unit variants,
+    so every float survives the round trip exactly.
     """
-    panel = scenario.panel
-    lines = [
-        "# scenario written by irs-planner",
-        f"carrier_frequency = {scenario.env.carrier_frequency!r}",
-        f"noise_power = {scenario.env.noise_power!r}",
-        f"pathloss_exponent_micro = {scenario.env.pathloss_exponent_micro!r}",
-        f"pathloss_exponent_macro = {scenario.env.pathloss_exponent_macro!r}",
-        f"macro_origin_x = {scenario.macro_extent.origin_x!r}",
-        f"macro_origin_y = {scenario.macro_extent.origin_y!r}",
-        f"macro_width = {scenario.macro_extent.width!r}",
-        f"macro_depth = {scenario.macro_extent.depth!r}",
-        f"micro_origin_x = {scenario.micro_extent.origin_x!r}",
-        f"micro_origin_y = {scenario.micro_extent.origin_y!r}",
-        f"micro_width = {scenario.micro_extent.width!r}",
-        f"micro_depth = {scenario.micro_extent.depth!r}",
-        f"macro_bs_power = {scenario.macro_bs.transmit_power!r}",
-        f"macro_bs_x = {scenario.macro_bs.position.x!r}",
-        f"macro_bs_y = {scenario.macro_bs.position.y!r}",
-        f"macro_bs_z = {scenario.macro_bs.position.z!r}",
-        f"micro_bs_x = {scenario.micro_bs_position.x!r}",
-        f"micro_bs_y = {scenario.micro_bs_position.y!r}",
-        f"micro_bs_z = {scenario.micro_bs_position.z!r}",
-        f"micro_power_conventional = {scenario.micro_power_conventional!r}",
-        f"micro_power_irs = {scenario.micro_power_irs!r}",
-        f"irs_x = {panel.position.x!r}",
-        f"irs_y = {panel.position.y!r}",
-        f"irs_z = {panel.position.z!r}",
-        f"irs_elements_m = {panel.elements_m!r}",
-        f"irs_elements_n = {panel.elements_n!r}",
-        f"irs_element_len_x = {panel.element_len_x!r}",
-        f"irs_element_len_y = {panel.element_len_y!r}",
-        f"irs_reflection_coefficient = {panel.reflection_coefficient!r}",
-        f"irs_gain_tx = {panel.gain_tx!r}",
-        f"irs_gain_rx = {panel.gain_rx!r}",
-    ]
-    if isinstance(panel.angle_mode, FixedAngles):
-        lines.append(f"irs_theta_t_rad = {panel.angle_mode.theta_t!r}")
-        lines.append(f"irs_theta_r_rad = {panel.angle_mode.theta_r!r}")
-    else:
-        nx, ny, nz = panel.angle_mode.normal
-        lines.append(f"irs_normal = {nx!r},{ny!r},{nz!r}")
-    lines.extend(
-        [
-            f"user_height = {scenario.user_height!r}",
-            f"grid_resolution = {scenario.grid_resolution!r}",
-            f"objective = {scenario.objective.value}",
-        ]
-    )
+    lines = ["# scenario written by irs-planner"]
+    for key, value in zip(_DEFAULTS, _values(scenario), strict=True):
+        if value is not None:
+            lines.append(f"{key} = {_format(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -94,6 +94,18 @@ class TestRuntimeErrors:
         assert "candidate 1 " in err and "(100.0, 100.0, 5.0)" in err
         assert "base station" in err
 
+    @pytest.mark.parametrize("command", ["compare", "map-irs"])
+    def test_panel_on_default_station(self, command, capsys):
+        assert run([command, "--irs", "100,100,5"]) == 1
+        assert capsys.readouterr().err == "error: panel position coincides with the base station\n"
+
+    @pytest.mark.parametrize("key", ["noise_power_dbm", "irs_gain_tx_db", "irs_gain_rx_db"])
+    def test_overflowing_db_value(self, key, tmp_path, capsys):
+        path = tmp_path / "loud.conf"
+        path.write_text(f"{key} = 4000\n")
+        assert run(["compare", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: line 1: {key}: value out of range\n"
+
     def test_bad_thread_env(self, config_path, candidates_path, capsys, monkeypatch):
         monkeypatch.setenv("IRS_PLANNER_THREADS", "many")
         args = ["sweep", "--config", config_path, "--candidates", candidates_path]

@@ -144,12 +144,6 @@ class TestOptimizePlacement:
         positions = {r.irs_position for r in ranking}
         assert positions == set(self.candidates().positions)
 
-    def test_parallel_matches_sequential(self):
-        scenario = small_scenario(micro_bs_position=Position3D(0.0, 0.0, 5.0))
-        sequential = optimize_placement(scenario, self.candidates(), Objective.EDGE_MIN, 1)
-        parallel = optimize_placement(scenario, self.candidates(), Objective.EDGE_MIN, 4)
-        assert sequential == parallel
-
     def test_rank_order_invariant_under_signal_scaling(self):
         scenario = small_scenario(micro_bs_position=Position3D(0.0, 0.0, 5.0))
         louder = replace(scenario, micro_power_irs=scenario.micro_power_irs * 10.0)
