@@ -15,11 +15,18 @@ map rather than raising, so one degenerate point cannot abort a whole
 map.
 
 Maps are computed in blocks of whole lattice rows, at most
-_CHUNK_ELEMENTS points per block (one row if a row is longer), and the
-kernels are elementwise, so a value does not depend on its block.
+_CHUNK_ELEMENTS points per block (one row if a row is longer).
 sinr_map_conventional and sinr_map_irs join the blocks into one SinrMap;
 the command line formats and writes each block as it comes, one row of
-text at a time, so its memory does not grow with the lattice.
+text at a time, so its memory does not grow with the lattice.  The
+cell-edge scorers work the same way on batches of panel positions.
+
+One kernel, _Kernel, computes the direct or reflected signal and the
+SINR in dB for every map and scorer.  A call makes its buffers once and
+reuses them for every block or batch, writing each ufunc's result in
+place.  The kernel is elementwise and keeps one operation order, so a
+value does not depend on its block, its batch or the buffer size, and
+each call warns at most once about points on a transmitter.
 """
 
 from __future__ import annotations
@@ -32,8 +39,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .linkbudget import FixedAngles, Position3D, _cascade_gain, _cascade_power, _incidence_cosine
-from .linkbudget import _power_law, _squared_hop, distance
+from .linkbudget import FixedAngles, Position3D, _cascade_gain, _incidence_cosine, distance
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -195,97 +201,167 @@ def _perimeter(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.nd
     return x, y
 
 
-def _direct_power(
-    scenario: "Scenario", x: np.ndarray, y: np.ndarray, tx: Position3D, power: float, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Power-law power from one transmitter, zero on it, and the points on it."""
-    d = np.sqrt(_squared_hop(x - tx.x, y - tx.y, (scenario.user_height - tx.z) ** 2))
-    dead = d == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        signal = _power_law(power, scenario.env.wavelength, d, alpha)
-    return np.where(dead, 0.0, signal), dead
+class _Kernel:
+    """Signal and SINR in dB over batches of points, in buffers made once.
 
-
-def _interference_grid(
-    scenario: "Scenario", x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interference power per grid point and a mask of coincident points."""
-    total = np.zeros_like(x)
-    dead = np.zeros(x.shape, dtype=bool)
-    for s in scenario.interference_sources():
-        power, on_source = _direct_power(
-            scenario, x, y, s.position, s.transmit_power, s.pathloss_exponent
-        )
-        dead |= on_source
-        if s.transmit_power != 0.0:
-            total = total + power
-    return total, dead
-
-
-def _direct_signal(
-    scenario: "Scenario", x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Power served directly by the base station, and the points on it."""
-    power, alpha = scenario.micro_power_conventional, scenario.env.pathloss_exponent_micro
-    return _direct_power(scenario, x, y, scenario.micro_bs_position, power, alpha)
-
-
-def _reflected_signal(
-    scenario: "Scenario",
-    positions: Sequence[Position3D],
-    r1: Sequence[float],
-    x: np.ndarray,
-    y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Power served through the panel at each of K positions, shape (K, points).
-
-    `r1` holds each position's nonzero hop length from the base station.
-    Per-position scalars such as (user_height - z) ** 2 stay Python
-    floats, because numpy's power can differ from Python's in the last
-    bit, and every array operation is elementwise, so a value does not
-    depend on the batch it is computed in.  Geometric-mode panels zero
-    out points behind the surface.  Also returns the mask of points on a
-    panel.
+    A scorer or map call makes one kernel and passes every batch through
+    it.  Each ufunc writes with out= into the kernel's buffers, of `size`
+    elements, so a batch allocates no array of its own size; a result is
+    a view of a buffer and holds until the next call on the same kernel.
+    Each value is linkbudget's expression evaluated elementwise in the
+    same order, so it does not depend on the batch or the buffer size.
     """
-    panel = scenario.panel
-    bs = scenario.micro_bs_position
-    dx = x - np.array([p.x for p in positions])[:, None]
-    dy = y - np.array([p.y for p in positions])[:, None]
-    dz = [scenario.user_height - p.z for p in positions]
-    r2 = np.sqrt(_squared_hop(dx, dy, np.array([d ** 2 for d in dz])[:, None]))
-    dead = r2 == 0.0
-    mode = panel.angle_mode
-    if isinstance(mode, FixedAngles):
-        cos_t: np.ndarray | float = math.cos(mode.theta_t)
-        cos_r: np.ndarray | float = math.cos(mode.theta_r)
-    else:
-        # a base station behind the panel gets no reflected power anywhere
-        cos_t = np.array([
-            max(_incidence_cosine(mode.normal, bs.x - p.x, bs.y - p.y, bs.z - p.z, r), 0.0)
-            for p, r in zip(positions, r1)
-        ])[:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos_r = _incidence_cosine(mode.normal, dx, dy, np.array(dz)[:, None], r2)
-        cos_r = np.where(dead | (cos_r < 0.0), 0.0, cos_r)
-    gain = _cascade_gain(scenario.micro_power_irs, panel, scenario.env.wavelength)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        signal = _cascade_power(gain, cos_t, cos_r, np.array(r1)[:, None], r2)
-    return np.where(dead, 0.0, signal), dead
 
+    def __init__(self, scenario: "Scenario", size: int) -> None:
+        self.scenario = scenario
+        self._real = np.empty((4, size))
+        self._mask = np.empty((2, size), dtype=bool)
 
-def _sinr_db(
-    scenario: "Scenario",
-    signal: np.ndarray,
-    interference: np.ndarray,
-    dead: np.ndarray,
-) -> np.ndarray:
-    """SINR in dB, with the sentinel at zero signal and at dead points."""
-    # a noise power near the bottom of the double range overflows the
-    # linear SINR to +inf, which becomes +inf dB on purpose
-    with np.errstate(divide="ignore", over="ignore"):
-        linear = signal / (interference + scenario.env.noise_power)
-        db = np.where(linear > 0.0, 10.0 * np.log10(np.where(linear > 0.0, linear, 1.0)), SENTINEL_DB)
-    return np.where(dead, SENTINEL_DB, db)
+    def _views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Four float buffers, then two bool buffers, as views of `shape`."""
+        n = math.prod(shape)
+        return tuple(b[:n].reshape(shape) for buffers in (self._real, self._mask) for b in buffers)
+
+    def power_law(
+        self, x: np.ndarray, y: np.ndarray, tx: Position3D, power: float, alpha: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Power-law power from one transmitter, zero on it, and the points on it.
+
+        P * wl**2 / (d**alpha * 16 * pi**2), with d from (dx*dx + dy*dy) +
+        dz**2, in the order of linkbudget.conventional_rx_power.
+        """
+        d, dy, _, _, dead, _ = self._views(x.shape)
+        np.subtract(x, tx.x, out=d)
+        d *= d
+        np.subtract(y, tx.y, out=dy)
+        dy *= dy
+        d += dy
+        d += (self.scenario.user_height - tx.z) ** 2
+        np.sqrt(d, out=d)
+        np.equal(d, 0.0, out=dead)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d **= alpha  # the same fast paths as d ** alpha
+            d *= 16.0
+            d *= math.pi ** 2
+            np.divide(power * self.scenario.env.wavelength ** 2, d, out=d)
+        np.copyto(d, 0.0, where=dead)
+        return d, dead
+
+    def direct(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Power served directly by the base station, and the points on it."""
+        s = self.scenario
+        alpha = s.env.pathloss_exponent_micro
+        return self.power_law(x, y, s.micro_bs_position, s.micro_power_conventional, alpha)
+
+    def interference(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interference power per point and a mask of points on a source, as new arrays."""
+        total = np.zeros_like(x)
+        dead = np.zeros(x.shape, dtype=bool)
+        for s in self.scenario.interference_sources():
+            power, on_source = self.power_law(
+                x, y, s.position, s.transmit_power, s.pathloss_exponent
+            )
+            dead |= on_source
+            if s.transmit_power != 0.0:
+                total += power
+        return total, dead
+
+    def floor(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interference plus noise power per point, and the points on a source."""
+        total, dead = self.interference(x, y)
+        total += self.scenario.env.noise_power
+        return total, dead
+
+    def reflected(
+        self, positions: Sequence[Position3D], r1: Sequence[float], x: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Power served through the panel at each of K positions, shape (K, points).
+
+        `r1` holds each position's nonzero hop length from the base station.
+        Per-position scalars such as (user_height - z) ** 2 stay Python
+        floats, because numpy's power can differ from Python's in the last
+        bit.  The hop is (dx*dx + dy*dy) + dz**2 and the power is
+        gain * cos_t * cos_r / ((r1 * r2)**2 * 64 * pi**3), left to right,
+        as in linkbudget.irs_rx_power.  Geometric-mode panels zero out points
+        behind the surface.  Also returns the mask of points on a panel.
+        """
+        shape = (len(positions), len(x))
+        dx, dy, r2, denominator, dead, off = self._views(shape)
+        panel = self.scenario.panel
+        bs = self.scenario.micro_bs_position
+        dz = [self.scenario.user_height - p.z for p in positions]
+        np.subtract(x, np.array([p.x for p in positions])[:, None], out=dx)
+        np.subtract(y, np.array([p.y for p in positions])[:, None], out=dy)
+        np.multiply(dx, dx, out=r2)
+        np.multiply(dy, dy, out=denominator)
+        r2 += denominator
+        r2 += np.array([d ** 2 for d in dz])[:, None]
+        np.sqrt(r2, out=r2)
+        np.equal(r2, 0.0, out=dead)
+        gain = _cascade_gain(self.scenario.micro_power_irs, panel, self.scenario.env.wavelength)
+        mode = panel.angle_mode
+        if isinstance(mode, FixedAngles):
+            numerator: np.ndarray | float = gain * math.cos(mode.theta_t) * math.cos(mode.theta_r)
+        else:
+            # a base station behind the panel gets no reflected power anywhere
+            cos_t = np.array([
+                max(_incidence_cosine(mode.normal, bs.x - p.x, bs.y - p.y, bs.z - p.z, r), 0.0)
+                for p, r in zip(positions, r1)
+            ])[:, None]
+            n0, n1, n2 = mode.normal
+            cos_r = dx
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cos_r *= n0
+                dy *= n1
+                cos_r += dy
+                cos_r += np.array(dz)[:, None] * n2
+                cos_r /= r2
+            np.less(cos_r, 0.0, out=off)
+            off |= dead
+            np.copyto(cos_r, 0.0, where=off)
+            numerator = cos_r
+            numerator *= gain * cos_t  # (gain * cos_t) * cos_r
+        np.multiply(r2, np.array(r1)[:, None], out=denominator)
+        denominator *= denominator
+        denominator *= 64.0
+        denominator *= math.pi ** 3
+        signal = dx  # the numerator's buffer in geometric mode
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(numerator, denominator, out=signal)
+        np.copyto(signal, 0.0, where=dead)
+        return signal, dead
+
+    def sinr_db(
+        self, signal: np.ndarray, dead: np.ndarray, floor: np.ndarray, dead_i: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """SINR in dB in place of `signal`, and the number of dead points.
+
+        `floor` is interference plus noise.  The sentinel goes where the
+        signal is zero and where `dead` or `dead_i` holds.  `dead` is
+        overwritten.
+        """
+        off = self._views(signal.shape)[5]  # the second mask buffer
+        dead |= dead_i
+        # a noise power near the bottom of the double range overflows the
+        # linear SINR to +inf, which becomes +inf dB on purpose
+        with np.errstate(divide="ignore", over="ignore"):
+            linear = np.divide(signal, floor, out=signal)
+            np.greater(linear, 0.0, out=off)
+            np.logical_not(off, out=off)
+            off |= dead
+            np.copyto(linear, 1.0, where=off)
+            db = np.log10(linear, out=linear)
+            db *= 10.0
+        np.copyto(db, SENTINEL_DB, where=off)
+        return db, int(np.count_nonzero(dead))
+
+    def summarize(self, db: np.ndarray) -> list[EdgeStats]:
+        """_summarize of the rows that sinr_db returned.
+
+        Every signal, and so its dB, is in the first float buffer; the
+        second takes the linear terms.
+        """
+        return _summarize(db, self._views(db.shape)[1])
 
 
 def _warn_dead(count: int, stacklevel: int) -> None:
@@ -318,30 +394,30 @@ def _map_blocks(scenario: "Scenario", irs: bool) -> Iterator[np.ndarray]:
     returns, so a malformed one raises before any block is asked for.
     """
     xs, ys = _grid_axes(scenario.micro_extent, scenario.grid_resolution)
+    rows = max(1, _CHUNK_ELEMENTS // len(xs))
+    kernel = _Kernel(scenario, min(rows, len(ys)) * len(xs))
     if not irs:
-        return _blocks(scenario, lambda x, y: _direct_signal(scenario, x, y), xs, ys)
+        return _blocks(kernel, kernel.direct, xs, ys, rows)
     position = scenario.panel.position
     r1 = _panel_hop(scenario, position)
-    return _blocks(
-        scenario, lambda x, y: _reflected_signal(scenario, [position], [r1], x, y), xs, ys
-    )
+    return _blocks(kernel, lambda x, y: kernel.reflected([position], [r1], x, y), xs, ys, rows)
 
 
 def _blocks(
-    scenario: "Scenario",
+    kernel: _Kernel,
     signal_at: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     xs: np.ndarray,
     ys: np.ndarray,
+    rows: int,
 ) -> Iterator[np.ndarray]:
-    rows = max(1, _CHUNK_ELEMENTS // len(xs))
     dead_count = 0
     for j0 in range(0, len(ys), rows):
         x, y = _lattice_rows(xs, ys[j0 : j0 + rows])
-        signal, dead = signal_at(x, y)
-        interference, dead_i = _interference_grid(scenario, x, y)
-        dead = dead | dead_i
-        dead_count += int(np.count_nonzero(dead))
-        yield _sinr_db(scenario, signal, interference, dead).reshape(-1)
+        floor, dead_i = kernel.floor(x, y)
+        db, count = kernel.sinr_db(*signal_at(x, y), floor, dead_i)
+        dead_count += count
+        # a copy, because the kernel reuses its buffers for the next block
+        yield db.reshape(-1).copy()
     # one warning per map, after the last block, blaming sinr_map_*'s caller
     _warn_dead(dead_count, stacklevel=4)
 
@@ -420,7 +496,7 @@ def _exact_row_sums(terms: np.ndarray) -> list[float]:
     return sums
 
 
-def _summarize(db: np.ndarray) -> list[EdgeStats]:
+def _summarize(db: np.ndarray, terms: np.ndarray) -> list[EdgeStats]:
     """Min, linear-domain mean and max of each row of SINR values in dB.
 
     The mean is the correctly rounded sum of 10 ** (v / 10) over a row,
@@ -428,14 +504,16 @@ def _summarize(db: np.ndarray) -> list[EdgeStats]:
     row holding +inf has a mean of +inf.  A finite row whose linear terms
     or their sum exceed the largest double raises ValueError: that takes
     values within 10 * log10(n) dB of 3082.5 dB, which only a noise power
-    near the bottom of the double range produces.
+    near the bottom of the double range produces.  `terms` is a buffer
+    of db's shape, overwritten with the linear terms.
     """
     highs = db.max(axis=1)
     # np.float_power's float64 loop calls libm's pow, as math.pow does;
     # np.power is vectorized (SVML with AVX-512) and differs in the last
     # bit on some inputs, which would change the output bytes
+    np.divide(db, 10.0, out=terms)
     with np.errstate(over="ignore"):
-        terms = np.float_power(10.0, db / 10.0)
+        np.float_power(10.0, terms, out=terms)
     # rows with +inf (or NaN) take their max as the mean and skip the sum
     terms[~(highs < math.inf)] = 0.0
     try:
@@ -469,7 +547,8 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
         raise ValueError("edge point set must not be empty")
     xs, ys = (axis.tolist() for axis in _grid_axes(sinr_map.extent, sinr_map.resolution))
     index = [_lattice_index(sinr_map, xs, ys, p) for p in edge]
-    return _summarize(sinr_map.values[index][None, :])[0]
+    row = sinr_map.values[index][None, :]
+    return _summarize(row, np.empty_like(row))[0]
 
 
 def edge_stats_direct(scenario: "Scenario") -> EdgeStats:
@@ -479,11 +558,11 @@ def edge_stats_direct(scenario: "Scenario") -> EdgeStats:
     without computing the map.
     """
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
-    signal, dead = _direct_signal(scenario, x, y)
-    interference, dead_i = _interference_grid(scenario, x, y)
-    dead = dead | dead_i
-    _warn_dead(int(np.count_nonzero(dead)), stacklevel=2)
-    return _summarize(_sinr_db(scenario, signal, interference, dead)[None, :])[0]
+    kernel = _Kernel(scenario, len(x))
+    floor, dead_i = kernel.floor(x, y)
+    db, dead_count = kernel.sinr_db(*kernel.direct(x, y), floor, dead_i)
+    _warn_dead(dead_count, stacklevel=2)
+    return kernel.summarize(db[None, :])[0]
 
 
 def edge_stats_reflected(
@@ -493,10 +572,14 @@ def edge_stats_reflected(
 
     Each entry equals edge_stats(sinr_map_irs(...), cell_edge_points(...))
     with the panel moved to that position, but only the perimeter is
-    computed.  Interference at the perimeter is computed once, then the
-    positions are scored in chunks of at most _CHUNK_ELEMENTS array
-    elements, so memory stays bounded however many positions there are.
-    A position on the base station raises ValueError before any scoring.
+    computed.  Interference plus noise at the perimeter is computed once,
+    then the positions are scored in batches of at most _CHUNK_ELEMENTS
+    array elements, through one kernel whose buffers every batch reuses,
+    so memory stays bounded however many positions there are and a
+    value does not depend on its batch.  Perimeter points on a
+    transmitter get the sentinel and one warning per call, counting them
+    over all positions.  A position on the base station raises
+    ValueError before any scoring.
     """
     r1 = [distance(scenario.micro_bs_position, p) for p in positions]
     if 0.0 in r1:
@@ -507,18 +590,18 @@ def edge_stats_reflected(
             "coincides with the base station"
         )
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
-    interference, dead_i = _interference_grid(scenario, x, y)
     chunk = max(1, _CHUNK_ELEMENTS // len(x))
+    kernel = _Kernel(scenario, min(chunk, len(positions)) * len(x))
+    floor, dead_i = kernel.floor(x, y)
     stats = []
+    dead_count = 0
     for start in range(0, len(positions), chunk):
         stop = start + chunk
-        signal, dead = _reflected_signal(scenario, positions[start:stop], r1[start:stop], x, y)
-        dead = dead | dead_i
-        _warn_dead(int(np.count_nonzero(dead)), stacklevel=2)
-        # signal and dead must stay referenced until _summarize has run:
-        # freed earlier, malloc trims their memory and the next batch
-        # faults it back in, which costs about 40% more time per sweep
-        stats.extend(_summarize(_sinr_db(scenario, signal, interference, dead)))
+        signal, dead = kernel.reflected(positions[start:stop], r1[start:stop], x, y)
+        db, count = kernel.sinr_db(signal, dead, floor, dead_i)
+        dead_count += count
+        stats.extend(kernel.summarize(db))
+    _warn_dead(dead_count, stacklevel=2)
     return stats
 
 

@@ -19,9 +19,9 @@ gain is G_sc = 4 * pi * dx * dy / wavelength**2.
 All internal arithmetic is linear (watts, meters, radians).  Decibel
 quantities appear only in the conversion helpers at the bottom.
 
-The scalar API below and the map kernels in coverage share one private
-implementation of each equation, plain arithmetic on Python floats (the
-scalar API) or numpy arrays (the maps) alike.  The two agree to a few ulp.
+The scalar API below evaluates each equation on Python floats; the
+kernel in coverage evaluates the same expressions on numpy arrays, in
+place and in the same order.  The two agree to a few ulp.
 """
 
 from __future__ import annotations
@@ -165,20 +165,14 @@ def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> floa
     the power law is singular.
     """
     tx, rx = link.transmitter, link.receiver
-    separation = math.sqrt(_squared_hop(rx.x - tx.x, rx.y - tx.y, (rx.z - tx.z) ** 2))
+    dx, dy = rx.x - tx.x, rx.y - tx.y
+    separation = math.sqrt(dx * dx + dy * dy + (rx.z - tx.z) ** 2)
     if separation == 0.0:
         raise ValueError("link separation is zero")
-    return _power_law(link.transmit_power, env.wavelength, separation, link.pathloss_exponent)
-
-
-def _squared_hop(dx, dy, dz2):
-    """dx*dx + dy*dy + dz2 as the maps form it; callers square dz with Python's **."""
-    return dx * dx + dy * dy + dz2
-
-
-def _power_law(power, wl, d, alpha):
-    """P * wl**2 / (d**alpha * 16 * pi**2), on floats or on arrays."""
-    return power * wl ** 2 / (d ** alpha * 16.0 * math.pi ** 2)
+    wl = env.wavelength
+    return link.transmit_power * wl ** 2 / (
+        separation ** link.pathloss_exponent * 16.0 * math.pi ** 2
+    )
 
 
 def element_scatter_gain(element_len_x: float, element_len_y: float, wl: float) -> float:
@@ -236,11 +230,6 @@ def _cascade_gain(power, panel: IrsPanel, wl: float) -> float:
             * panel.elements_m ** 2 * panel.elements_n ** 2)
 
 
-def _cascade_power(gain, cos_t, cos_r, r1, r2):
-    """gain * cos(theta_t) * cos(theta_r) / ((R1 * R2)**2 * 64 * pi**3)."""
-    return gain * cos_t * cos_r / ((r1 * r2) ** 2 * 64.0 * math.pi ** 3)
-
-
 def irs_rx_power(
     transmit_power: float,
     panel: IrsPanel,
@@ -265,7 +254,7 @@ def irs_rx_power(
     except BehindSurfaceError:
         return 0.0
     gain = _cascade_gain(transmit_power, panel, env.wavelength)
-    return _cascade_power(gain, cos_t, cos_r, r1, r2)
+    return gain * cos_t * cos_r / ((r1 * r2) ** 2 * 64.0 * math.pi ** 3)
 
 
 def watts_to_dbm(power: float) -> float:

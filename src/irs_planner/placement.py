@@ -20,7 +20,6 @@ from .coverage import (
     _panel_hop,
     edge_stats_direct,
     edge_stats_reflected,
-    format_value,
 )
 from .linkbudget import Position3D, distance
 from .scenario import Objective, Scenario
@@ -192,22 +191,15 @@ def compare_models(scenario: Scenario, best: PlacementResult) -> ComparisonRepor
 
 
 def ranking_to_csv(results: list[PlacementResult]) -> str:
-    """Serialize a ranking as CSV, one row per candidate, rank from 1."""
-    lines = ["rank,x_m,y_m,z_m,objective_db,edge_min_db,edge_mean_db,edge_max_db"]
-    for rank, result in enumerate(results, start=1):
-        p = result.irs_position
-        lines.append(
-            ",".join(
-                [
-                    str(rank),
-                    format_value(p.x),
-                    format_value(p.y),
-                    format_value(p.z),
-                    format_value(result.objective_db),
-                    format_value(result.edge.min_db),
-                    format_value(result.edge.mean_db),
-                    format_value(result.edge.max_db),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Serialize a ranking as CSV, one row per candidate, rank from 1.
+
+    Every number is written as format_value writes it, repr(float(v)),
+    unrolled into one f-string per row.
+    """
+    rows = [
+        f"{rank},{float(p.x)!r},{float(p.y)!r},{float(p.z)!r},{float(r.objective_db)!r},"
+        f"{float(e.min_db)!r},{float(e.mean_db)!r},{float(e.max_db)!r}\n"
+        for rank, r in enumerate(results, start=1)
+        for p, e in [(r.irs_position, r.edge)]
+    ]
+    return "rank,x_m,y_m,z_m,objective_db,edge_min_db,edge_mean_db,edge_max_db\n" + "".join(rows)

@@ -11,6 +11,7 @@ import sys
 import time
 from dataclasses import replace
 
+import irs_planner
 from irs_planner import (
     CellExtent,
     ConventionalLink,
@@ -209,6 +210,9 @@ def test_criterion_6_sweep_output_independent_of_thread_count(tmp_path):
         out = tmp_path / f"sweep_{threads}.csv"
         env = os.environ.copy()
         env["IRS_PLANNER_THREADS"] = threads
+        # the child imports the same irs_planner as this test
+        src = os.path.dirname(os.path.dirname(irs_planner.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable,

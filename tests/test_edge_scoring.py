@@ -184,6 +184,29 @@ def test_chunk_size_does_not_change_results(chunk_elements, monkeypatch):
         assert _bits(result.edge) == _bits(_oracle_irs(scenario, result.irs_position))
 
 
+@pytest.mark.parametrize("chunk_elements", [1, 40, 1 << 15])
+def test_one_warning_per_scoring_call_whatever_the_chunk_size(chunk_elements, monkeypatch):
+    # 120 candidates on the default 800-point edge, so 1 << 15 makes three
+    # batches of 40; one candidate in each batch lies on an edge point
+    scenario = default_scenario()
+    rng = random.Random(12)
+    positions = [
+        Position3D(rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0), rng.uniform(3.0, 15.0))
+        for _ in range(120)
+    ]
+    for k, point in zip((10, 50, 90), rng.sample(_edge(scenario), 3)):
+        positions[k] = point
+    monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", chunk_elements)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coverage.edge_stats_reflected(scenario, positions)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "3 grid point(s) coincide with a transmitter; "
+         "writing the -inf sentinel there")
+    ]
+    assert caught[0].filename == __file__
+
+
 def test_mirrored_candidates_tie_exactly():
     # stations on the line x = 100, so mirror images across it score alike
     scenario = default_scenario()

@@ -1,16 +1,19 @@
-"""The map kernels against the 50-digit oracle and against the scalar API.
+"""The SINR kernel against the 50-digit oracle, the scalar API and its own past.
 
-coverage's array kernels (`_direct_signal`, `_interference_grid`,
-`_reflected_signal`) and the scalar API in linkbudget and sinr evaluate
-the same equations, written once in linkbudget.  The kernels are checked
-here factor by factor against the mpmath references in `oracles.py`, at
-criterion 2's 1e-10 relative bound, and the scalar API is checked to
-agree with them to a few ulp on whole lattices.
+coverage's array kernel (`_Kernel.direct`, `.interference` and
+`.reflected`) and the scalar API in linkbudget and sinr evaluate the
+same equations, in the same order.  The kernel is checked here factor by
+factor against the mpmath references in `oracles.py`, at criterion 2's
+1e-10 relative bound, and the scalar API is checked to agree with it to
+a few ulp on whole lattices.  Its dB values are also checked bit for bit
+against the unbuffered numpy expressions it replaced, written out below,
+through every mask and at every batch and block size.
 """
 
 import math
 import random
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +33,7 @@ from irs_planner import (
     interference_power,
     irs_rx_power,
 )
-from irs_planner import coverage
+from irs_planner import coverage, linkbudget
 
 from oracles import (
     hp_conventional_rx_power,
@@ -138,7 +141,8 @@ def test_kernels_match_extended_precision_oracle(seed, mode):
     users = [(px, py, scenario.user_height) for px, py in zip(x.tolist(), y.tolist())]
     bs = _triple(scenario.micro_bs_position)
 
-    direct, dead = coverage._direct_signal(scenario, x, y)
+    # a kernel per call: each result is a view of its kernel's buffers
+    direct, dead = coverage._Kernel(scenario, x.size).direct(x, y)
     assert not dead.any()
     power, alpha = scenario.micro_power_conventional, scenario.env.pathloss_exponent_micro
     f = scenario.env.carrier_frequency
@@ -146,7 +150,7 @@ def test_kernels_match_extended_precision_oracle(seed, mode):
         ref = hp_conventional_rx_power(power, f, hp_distance(bs, user), alpha)
         assert rel_error(got, ref) <= 1e-10
 
-    interference, dead = coverage._interference_grid(scenario, x, y)
+    interference, dead = coverage._Kernel(scenario, x.size).interference(x, y)
     assert not dead.any()
     [source] = scenario.interference_sources()
     for got, user in zip(interference.tolist(), users):
@@ -158,7 +162,8 @@ def test_kernels_match_extended_precision_oracle(seed, mode):
 
     positions = [scenario.panel.position, _position(rng, 9.0, 15.0), _position(rng, 9.0, 15.0)]
     r1 = [distance(scenario.micro_bs_position, p) for p in positions]
-    reflected, dead = coverage._reflected_signal(scenario, positions, r1, x, y)
+    kernel = coverage._Kernel(scenario, len(positions) * x.size)
+    reflected, dead = kernel.reflected(positions, r1, x, y)
     assert reflected.shape == (3, len(users)) and not dead.any()
     served = 0
     for row, position in zip(reflected.tolist(), positions):
@@ -209,10 +214,11 @@ def test_scalar_api_agrees_with_kernels_on_full_lattices(mode):
         bs = scenario.micro_bs_position
         panel_position = scenario.panel.position
         x, y = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
-        direct, _ = coverage._direct_signal(scenario, x, y)
-        interference, _ = coverage._interference_grid(scenario, x, y)
+        direct, _ = coverage._Kernel(scenario, x.size).direct(x, y)
+        interference, _ = coverage._Kernel(scenario, x.size).interference(x, y)
         r1 = distance(bs, panel_position)
-        [reflected], _ = coverage._reflected_signal(scenario, [panel_position], [r1], x, y)
+        kernel = coverage._Kernel(scenario, x.size)
+        [reflected], _ = kernel.reflected([panel_position], [r1], x, y)
         sources = scenario.interference_sources()
         for k, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
             user = Position3D(px, py, scenario.user_height)
@@ -235,3 +241,162 @@ def test_scalar_api_agrees_with_kernels_on_full_lattices(mode):
     assert worst["interference"] <= 8, worst
     if mode == "tilted":
         assert zeros > 0  # some points behind the panel compare as exact zeros
+
+
+def _written_out_db(scenario, positions, x, y):
+    """SINR in dB, one row per panel position (None: direct service).
+
+    These are the expressions the kernel replaced, each step one numpy
+    expression that allocates its result, so they pin the kernel's
+    operation order bit for bit.
+    """
+    env, uh = scenario.env, scenario.user_height
+    bs = scenario.micro_bs_position
+
+    def power_law(tx, power, alpha):
+        d = np.sqrt((x - tx.x) * (x - tx.x) + (y - tx.y) * (y - tx.y) + (uh - tx.z) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            signal = power * env.wavelength ** 2 / (d ** alpha * 16.0 * math.pi ** 2)
+        return np.where(d == 0.0, 0.0, signal), d == 0.0
+
+    interference = np.zeros_like(x)
+    dead_i = np.zeros(x.shape, dtype=bool)
+    for s in scenario.interference_sources():
+        power, on_source = power_law(s.position, s.transmit_power, s.pathloss_exponent)
+        dead_i = dead_i | on_source
+        interference = interference + power
+    if positions is None:
+        signal, dead = power_law(bs, scenario.micro_power_conventional,
+                                 env.pathloss_exponent_micro)
+        signal, dead = signal[None, :], dead[None, :]
+    else:
+        panel = scenario.panel
+        dx = x - np.array([p.x for p in positions])[:, None]
+        dy = y - np.array([p.y for p in positions])[:, None]
+        dz = [uh - p.z for p in positions]
+        r2 = np.sqrt(dx * dx + dy * dy + np.array([d ** 2 for d in dz])[:, None])
+        dead = r2 == 0.0
+        mode = panel.angle_mode
+        if isinstance(mode, FixedAngles):
+            cos_t, cos_r = math.cos(mode.theta_t), math.cos(mode.theta_r)
+        else:
+            n0, n1, n2 = mode.normal
+            cos_t = np.array([
+                max((
+                    (bs.x - p.x) * n0 + (bs.y - p.y) * n1 + (bs.z - p.z) * n2
+                ) / distance(bs, p), 0.0)
+                for p in positions
+            ])[:, None]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cos_r = (dx * n0 + dy * n1 + np.array(dz)[:, None] * n2) / r2
+            cos_r = np.where(dead | (cos_r < 0.0), 0.0, cos_r)
+        r1 = np.array([distance(bs, p) for p in positions])[:, None]
+        gain = linkbudget._cascade_gain(scenario.micro_power_irs, panel, env.wavelength)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            signal = gain * cos_t * cos_r / ((r1 * r2) ** 2 * 64.0 * math.pi ** 3)
+        signal = np.where(dead, 0.0, signal)
+    with np.errstate(divide="ignore", over="ignore"):
+        linear = signal / (interference + env.noise_power)
+        db = np.where(linear > 0.0, 10.0 * np.log10(np.where(linear > 0.0, linear, 1.0)), -math.inf)
+    return np.where(dead | dead_i, -math.inf, db)
+
+
+def _hex(values):
+    return [float.hex(v) for v in np.asarray(values).ravel().tolist()]
+
+
+def _masked_scenario(mode):
+    """A seeded scenario on a 17 x 17 lattice with the macro station on edge point 0."""
+    scenario = _scenario(7, mode, resolution=12.5)
+    x, y = coverage._perimeter(scenario.micro_extent, scenario.grid_resolution)
+    on_edge = Position3D(float(x[0]), float(y[0]), scenario.user_height)
+    return replace(scenario, macro_bs=replace(scenario.macro_bs, position=on_edge))
+
+
+def _masked_positions(scenario):
+    """Panel positions that reach each mask of the kernel, and some that reach none.
+
+    In order: on edge point 5 (a point on the panel); just below the
+    station (the station is behind a downward or tilted panel); below the
+    user plane (every point behind a downward panel); six seeded ones.
+    """
+    rng = random.Random(11)
+    bs = scenario.micro_bs_position
+    x, y = coverage._perimeter(scenario.micro_extent, scenario.grid_resolution)
+    return [
+        Position3D(float(x[5]), float(y[5]), scenario.user_height),
+        Position3D(bs.x, bs.y, bs.z - 0.5),
+        Position3D(100.0, 100.0, scenario.user_height - 1.0),
+    ] + [_position(rng, 9.0, 15.0) for _ in range(6)]
+
+
+def _scored(call, monkeypatch):
+    """What `call` returns, the dB rows its kernel summarized, and its warnings."""
+    rows = []
+    summarize = coverage._Kernel.summarize
+
+    def record(kernel, db):
+        rows.append(db.copy())
+        return summarize(kernel, db)
+
+    monkeypatch.setattr(coverage._Kernel, "summarize", record)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, np.concatenate(rows), [str(w.message) for w in caught]
+
+
+# 64 edge points: one position per batch, batches of 4, 4 and 1, one batch
+CHUNKS = {"one element": 1, "partial last batch": 4 * 64, "default": 1 << 15}
+
+
+@pytest.mark.parametrize("chunk", sorted(CHUNKS))
+@pytest.mark.parametrize("mode", MODES)
+def test_scorer_db_follows_the_written_out_operation_order(mode, chunk, monkeypatch):
+    scenario = _masked_scenario(mode)
+    positions = _masked_positions(scenario)
+    x, y = coverage._perimeter(scenario.micro_extent, scenario.grid_resolution)
+    expected = _written_out_db(scenario, positions, x, y)
+    monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", CHUNKS[chunk])
+    stats, got, messages = _scored(
+        lambda: coverage.edge_stats_reflected(scenario, positions), monkeypatch
+    )
+    assert _hex(got) == _hex(expected)
+    assert [s.min_db for s in stats] == got.min(axis=1).tolist()
+    # one warning per call: the macro station in every row, the panel on point 5
+    assert messages == [
+        f"{len(positions) + 1} grid point(s) coincide with a transmitter; "
+        "writing the -inf sentinel there"
+    ]
+    assert (got[:, 0] == -math.inf).all() and got[0, 5] == -math.inf
+    served = (got > -math.inf).sum(axis=1).tolist()
+    edge = len(x) - 1  # the macro station's point never is
+    if mode == "fixed":
+        assert served == [edge - 1] + [edge] * (len(positions) - 1)
+    if mode == "down":
+        # a panel at user height serves no point of the plane; the station
+        # is behind the second panel, and every point behind the third
+        assert served == [0, 0, 0] + [edge] * 6
+    if mode == "tilted":
+        assert served[1] == 0  # the station behind the panel
+        assert any(0 < n < edge for n in served)  # some points behind the panel
+
+    _, got, messages = _scored(lambda: coverage.edge_stats_direct(scenario), monkeypatch)
+    assert _hex(got) == _hex(_written_out_db(scenario, None, x, y))
+    assert len(messages) == 1 and messages[0].startswith("1 grid point(s)")
+
+
+@pytest.mark.filterwarnings("ignore:.*coincide with a transmitter:RuntimeWarning")
+@pytest.mark.parametrize("mode", MODES)
+def test_maps_in_one_row_blocks_equal_the_whole_map(mode, monkeypatch):
+    # each block is a copy: views of the kernel's reused buffers would all
+    # hold the last block's values once the map joins them
+    scenario = _masked_scenario(mode)
+    x, y = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+    maps = (coverage.sinr_map_irs, coverage.sinr_map_conventional)
+    whole = [f(scenario).values for f in maps]
+    assert _hex(whole[0]) == _hex(_written_out_db(scenario, [scenario.panel.position], x, y))
+    assert _hex(whole[1]) == _hex(_written_out_db(scenario, None, x, y))
+    monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", 1)
+    for f, values in zip(maps, whole):
+        assert f(scenario).values.tobytes() == values.tobytes()

@@ -172,7 +172,7 @@ class TestOptimizePlacement:
         def no_scoring(*args):
             raise AssertionError("a candidate was scored")
 
-        monkeypatch.setattr(coverage, "_reflected_signal", no_scoring)
+        monkeypatch.setattr(coverage._Kernel, "reflected", no_scoring)
         scenario = default_scenario()  # station at (100, 100, 5)
         spec = GridSweep(scenario.micro_extent, 10.0, 5.0)
         with pytest.raises(ValueError, match=r"candidate 220 .*\(100\.0, 100\.0, 5\.0\)"):
