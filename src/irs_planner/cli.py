@@ -9,12 +9,14 @@ memory than a coarse one; the scenario is checked before the output is
 opened, so a map that fails creates no file.  The IRS_PLANNER_THREADS
 environment variable is still validated (0, unset or a positive
 integer) but starts no threads: sweeps are scored in batches on one
-thread.
+thread.  The argument parser is built once per process, on the first
+call of run, and reused: parsing keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -27,7 +29,6 @@ from .placement import (
     ComparisonReport,
     ExplicitList,
     compare_models,
-    evaluate_placement,
     optimize_placement,
     ranking_to_csv,
 )
@@ -168,10 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run uses, built on its first call rather than at import."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     """Execute one subcommand; returns the process exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scenario = _build_scenario(args)
         if args.command in ("map-conv", "map-irs"):
@@ -182,10 +188,7 @@ def run(argv: list[str] | None = None) -> int:
             _check_thread_env()
             chunks = [ranking_to_csv(optimize_placement(scenario, candidates, scenario.objective))]
         else:
-            best = evaluate_placement(
-                scenario, scenario.panel.position, scenario.objective
-            )
-            chunks = [_comparison_csv(compare_models(scenario, best))]
+            chunks = [_comparison_csv(compare_models(scenario, scenario.panel.position))]
         _write_output(chunks, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

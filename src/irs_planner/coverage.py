@@ -217,10 +217,12 @@ class _Kernel:
         self._real = np.empty((4, size))
         self._mask = np.empty((2, size), dtype=bool)
 
-    def _views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """Four float buffers, then two bool buffers, as views of `shape`."""
-        n = math.prod(shape)
-        return tuple(b[:n].reshape(shape) for buffers in (self._real, self._mask) for b in buffers)
+    def _views(self, shape: tuple[int, ...], start: int = 0) -> tuple[np.ndarray, ...]:
+        """Four float buffers, then two bool buffers, as views of `shape` from `start`."""
+        stop = start + math.prod(shape)
+        return tuple(
+            b[start:stop].reshape(shape) for buffers in (self._real, self._mask) for b in buffers
+        )
 
     def power_law(
         self, x: np.ndarray, y: np.ndarray, tx: Position3D, power: float, alpha: float
@@ -273,11 +275,18 @@ class _Kernel:
         return total, dead
 
     def reflected(
-        self, positions: Sequence[Position3D], r1: Sequence[float], x: np.ndarray, y: np.ndarray
+        self,
+        positions: Sequence[Position3D],
+        r1: Sequence[float],
+        x: np.ndarray,
+        y: np.ndarray,
+        start: int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Power served through the panel at each of K positions, shape (K, points).
 
         `r1` holds each position's nonzero hop length from the base station.
+        The results, and every buffer this uses, begin at element `start`
+        of the kernel's buffers, so what lies before it is kept.
         Per-position scalars such as (user_height - z) ** 2 stay Python
         floats, because numpy's power can differ from Python's in the last
         bit.  The hop is (dx*dx + dy*dy) + dz**2 and the power is
@@ -286,7 +295,7 @@ class _Kernel:
         behind the surface.  Also returns the mask of points on a panel.
         """
         shape = (len(positions), len(x))
-        dx, dy, r2, denominator, dead, off = self._views(shape)
+        dx, dy, r2, denominator, dead, off = self._views(shape, start)
         panel = self.scenario.panel
         bs = self.scenario.micro_bs_position
         dz = [self.scenario.user_height - p.z for p in positions]
@@ -329,6 +338,27 @@ class _Kernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(numerator, denominator, out=signal)
         np.copyto(signal, 0.0, where=dead)
+        return signal, dead
+
+    def signals(
+        self,
+        direct: bool,
+        positions: Sequence[Position3D],
+        r1: Sequence[float],
+        x: np.ndarray,
+        y: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Signal power and the points on its transmitter, one row per serving model.
+
+        The rows are direct service if `direct`, then reflected service
+        with the panel at each of `positions`, stacked in the first buffers
+        as shape (direct + K, points).
+        """
+        if direct:
+            self.direct(x, y)
+        if positions:
+            self.reflected(positions, r1, x, y, start=direct * len(x))
+        signal, _, _, _, dead, _ = self._views((direct + len(positions), len(x)))
         return signal, dead
 
     def sinr_db(
@@ -551,18 +581,46 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
     return _summarize(row, np.empty_like(row))[0]
 
 
+def _edge_rows(
+    scenario: "Scenario", direct: bool, positions: Sequence[Position3D], r1: Sequence[float]
+) -> list[EdgeStats]:
+    """Cell-edge statistics of direct service if `direct`, then of each panel position.
+
+    `r1` holds each position's nonzero hop length from the base station.
+    The perimeter and its interference plus noise are computed once.  The
+    rows are then scored in batches of at most _CHUNK_ELEMENTS array
+    elements, the direct row first in the first batch, through one kernel
+    whose buffers every batch reuses, so memory stays bounded however many
+    positions there are and a value does not depend on its batch.
+    Perimeter points on a transmitter get the sentinel and one warning
+    per call, counting them over all rows; it blames the caller's caller.
+    """
+    x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
+    rows = direct + len(positions)
+    chunk = max(1, _CHUNK_ELEMENTS // len(x))
+    kernel = _Kernel(scenario, min(chunk, rows) * len(x))
+    floor, dead_i = kernel.floor(x, y)
+    stats = []
+    dead_count = 0
+    for start in range(0, rows, chunk):
+        lead = direct and start == 0
+        first, stop = max(start - direct, 0), start + chunk - direct
+        signal, dead = kernel.signals(lead, positions[first:stop], r1[first:stop], x, y)
+        db, count = kernel.sinr_db(signal, dead, floor, dead_i)
+        dead_count += count
+        stats.extend(kernel.summarize(db))
+    _warn_dead(dead_count, stacklevel=3)
+    return stats
+
+
 def edge_stats_direct(scenario: "Scenario") -> EdgeStats:
     """Cell-edge statistics of direct service, computed on the perimeter only.
 
     Equal to edge_stats(sinr_map_conventional(scenario), cell_edge_points(...))
     without computing the map.
     """
-    x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
-    kernel = _Kernel(scenario, len(x))
-    floor, dead_i = kernel.floor(x, y)
-    db, dead_count = kernel.sinr_db(*kernel.direct(x, y), floor, dead_i)
-    _warn_dead(dead_count, stacklevel=2)
-    return kernel.summarize(db[None, :])[0]
+    [stats] = _edge_rows(scenario, True, [], [])
+    return stats
 
 
 def edge_stats_reflected(
@@ -572,11 +630,7 @@ def edge_stats_reflected(
 
     Each entry equals edge_stats(sinr_map_irs(...), cell_edge_points(...))
     with the panel moved to that position, but only the perimeter is
-    computed.  Interference plus noise at the perimeter is computed once,
-    then the positions are scored in batches of at most _CHUNK_ELEMENTS
-    array elements, through one kernel whose buffers every batch reuses,
-    so memory stays bounded however many positions there are and a
-    value does not depend on its batch.  Perimeter points on a
+    computed, in bounded batches (_edge_rows).  Perimeter points on a
     transmitter get the sentinel and one warning per call, counting them
     over all positions.  A position on the base station raises
     ValueError before any scoring.
@@ -589,20 +643,7 @@ def edge_stats_reflected(
             f"candidate {k} (counting from 0) at ({p.x!r}, {p.y!r}, {p.z!r}) "
             "coincides with the base station"
         )
-    x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
-    chunk = max(1, _CHUNK_ELEMENTS // len(x))
-    kernel = _Kernel(scenario, min(chunk, len(positions)) * len(x))
-    floor, dead_i = kernel.floor(x, y)
-    stats = []
-    dead_count = 0
-    for start in range(0, len(positions), chunk):
-        stop = start + chunk
-        signal, dead = kernel.reflected(positions[start:stop], r1[start:stop], x, y)
-        db, count = kernel.sinr_db(signal, dead, floor, dead_i)
-        dead_count += count
-        stats.extend(kernel.summarize(db))
-    _warn_dead(dead_count, stacklevel=2)
-    return stats
+    return _edge_rows(scenario, False, positions, r1)
 
 
 def format_value(value: float) -> str:

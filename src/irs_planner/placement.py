@@ -16,9 +16,9 @@ from .coverage import (
     CellExtent,
     EdgeStats,
     _axis,
+    _edge_rows,
     _is_whole,
     _panel_hop,
-    edge_stats_direct,
     edge_stats_reflected,
 )
 from .linkbudget import Position3D, distance
@@ -171,21 +171,23 @@ def optimize_placement(
     return sorted(results, key=sort_key)
 
 
-def compare_models(scenario: Scenario, best: PlacementResult) -> ComparisonReport:
+def compare_models(scenario: Scenario, irs_position: Position3D) -> ComparisonReport:
     """Contrast direct full-power service with panel-assisted reduced power.
 
     Direct service runs at the conventional power; reflected service runs
-    at the reduced power with the panel at the given placement.  Both are
-    summarized over the same cell-edge points, computed there only.  The
-    reflected summary is `best.edge`, so `best` must come from
-    evaluate_placement or optimize_placement on this same scenario.
+    at the reduced power with the panel at `irs_position`.  Both are
+    summarized over the same cell-edge points, computed there only, in
+    one pass that warns once about points on a transmitter, counting them
+    over both models.  A position on the base station raises ValueError.
     """
+    r1 = _panel_hop(scenario, irs_position)
+    conventional_edge, irs_edge = _edge_rows(scenario, True, [irs_position], [r1])
     return ComparisonReport(
         conventional_power=scenario.micro_power_conventional,
         irs_power=scenario.micro_power_irs,
-        irs_position=best.irs_position,
-        conventional_edge=edge_stats_direct(scenario),
-        irs_edge=best.edge,
+        irs_position=irs_position,
+        conventional_edge=conventional_edge,
+        irs_edge=irs_edge,
         power_reduction_fraction=1.0 - scenario.micro_power_irs / scenario.micro_power_conventional,
     )
 

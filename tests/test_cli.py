@@ -2,7 +2,7 @@
 
 import pytest
 
-from irs_planner.cli import run
+from irs_planner.cli import build_parser, run
 
 # Small scenario so CLI runs stay fast: 11 x 11 grid points.
 SMALL_CONFIG = """\
@@ -245,3 +245,39 @@ class TestCompareCommand:
             mid = float(rows[f"{side}_edge_mean_db"])
             high = float(rows[f"{side}_edge_max_db"])
             assert low <= mid <= high
+
+
+class TestParserReuse:
+    """run parses with one parser per process; no call may leave state for the next."""
+
+    def test_irs_override_does_not_carry_over(self, config_path, tmp_path):
+        plain, moved, again = (tmp_path / f"{name}.csv" for name in ("plain", "moved", "again"))
+        args = ["compare", "--config", config_path, "--out"]
+        assert run(args + [str(plain)]) == 0
+        assert run(args + [str(moved), "--irs", "4,10,6"]) == 0
+        assert run(args + [str(again)]) == 0
+        assert "irs_x_m,10.0" in again.read_text().splitlines()
+        assert again.read_bytes() == plain.read_bytes() != moved.read_bytes()
+
+    def test_usage_error_leaves_no_state(self, config_path, candidates_path, tmp_path, capsys):
+        alone, after = tmp_path / "alone.csv", tmp_path / "after.csv"
+        args = ["sweep", "--config", config_path, "--candidates", candidates_path]
+        assert run(args + ["--out", str(alone)]) == 0
+        with pytest.raises(SystemExit) as info:
+            run(["sweep", "--config", config_path, "--objective", "median"])
+        assert info.value.code == 2
+        assert run(args + ["--out", str(after)]) == 0
+        assert after.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("command", [[], ["map-conv"], ["map-irs"], ["sweep"], ["compare"]])
+    def test_help_matches_a_fresh_parser(self, command, config_path, capsys):
+        assert run(["map-conv", "--config", config_path]) == 0
+        capsys.readouterr()
+        texts = []
+        for parse in (run, build_parser().parse_args, run):
+            with pytest.raises(SystemExit) as info:
+                parse(command + ["--help"])
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0].startswith(" ".join(["usage: irs-planner"] + command))

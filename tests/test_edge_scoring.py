@@ -31,6 +31,7 @@ from irs_planner import (
     edge_stats,
     evaluate_placement,
     optimize_placement,
+    parse_scenario,
     sinr_map_conventional,
     sinr_map_irs,
     with_panel_position,
@@ -152,9 +153,30 @@ def test_sweep_matches_full_maps(seed):
 def test_compare_matches_full_maps(seed):
     scenario = _scenario(seed)
     position = _candidates(scenario, seed).positions[0]
-    report = compare_models(scenario, evaluate_placement(scenario, position, scenario.objective))
+    report = compare_models(scenario, position)
     assert _bits(report.conventional_edge) == _bits(_oracle_conventional(scenario))
     assert _bits(report.irs_edge) == _bits(_oracle_irs(scenario, position))
+
+
+def test_compare_warns_once_for_both_models():
+    # the macro station on the edge corner at user height: one point on a
+    # transmitter in each model's row, counted in one warning per call
+    scenario = parse_scenario("macro_bs_x = 0\nmacro_bs_y = 0\nmacro_bs_z = 1.5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = compare_models(scenario, scenario.panel.position)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "2 grid point(s) coincide with a transmitter; "
+         "writing the -inf sentinel there")
+    ]
+    assert caught[0].filename == __file__
+    assert report.conventional_edge.min_db == report.irs_edge.min_db == -math.inf
+
+
+def test_compare_rejects_a_panel_on_the_station():
+    scenario = default_scenario()
+    with pytest.raises(ValueError, match="^panel position coincides with the base station$"):
+        compare_models(scenario, scenario.micro_bs_position)
 
 
 def test_points_behind_a_tilted_panel_match():

@@ -33,7 +33,7 @@ from irs_planner import (
     interference_power,
     irs_rx_power,
 )
-from irs_planner import coverage, linkbudget
+from irs_planner import coverage, linkbudget, placement
 
 from oracles import (
     hp_conventional_rx_power,
@@ -384,6 +384,43 @@ def test_scorer_db_follows_the_written_out_operation_order(mode, chunk, monkeypa
     _, got, messages = _scored(lambda: coverage.edge_stats_direct(scenario), monkeypatch)
     assert _hex(got) == _hex(_written_out_db(scenario, None, x, y))
     assert len(messages) == 1 and messages[0].startswith("1 grid point(s)")
+
+
+@pytest.mark.parametrize("chunk", sorted(CHUNKS))
+@pytest.mark.parametrize("mode", MODES)
+def test_compare_scores_both_models_in_one_pass(mode, chunk, monkeypatch):
+    scenario = _masked_scenario(mode)
+    x, y = coverage._perimeter(scenario.micro_extent, scenario.grid_resolution)
+    direct = _written_out_db(scenario, None, x, y)
+    monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", CHUNKS[chunk])
+    summarized = []
+    summarize = coverage._summarize
+
+    def record(db, terms):
+        summarized.append(db.copy())
+        return summarize(db, terms)
+
+    monkeypatch.setattr(coverage, "_summarize", record)
+    for k, position in enumerate(_masked_positions(scenario)):
+        summarized.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = placement.compare_models(scenario, position)
+        got = np.concatenate(summarized)
+        reflected = _written_out_db(scenario, [position], x, y)
+        assert _hex(got) == _hex(np.concatenate([direct, reflected]))
+        # the direct row first, then the reflected one, as one (2, n) array
+        # unless a batch holds a single row
+        shapes = [(1, len(x))] * 2 if chunk == "one element" else [(2, len(x))]
+        assert [db.shape for db in summarized] == shapes
+        for stats, row in zip((report.conventional_edge, report.irs_edge), got):
+            assert (stats.min_db, stats.max_db) == (row.min(), row.max())
+        # one warning per call: the macro station's edge point in both rows,
+        # and edge point 5 in the reflected row when the panel is on it
+        assert [str(w.message) for w in caught] == [
+            f"{3 if k == 0 else 2} grid point(s) coincide with a transmitter; "
+            "writing the -inf sentinel there"
+        ]
 
 
 @pytest.mark.filterwarnings("ignore:.*coincide with a transmitter:RuntimeWarning")

@@ -188,34 +188,34 @@ class TestOptimizePlacement:
 class TestCompareModels:
     def test_power_reduction_default_scenario(self):
         scenario = small_scenario(silent_macro=False)
-        best = evaluate_placement(scenario, Position3D(10.0, 10.0, 6.0), Objective.EDGE_MIN)
-        report = compare_models(scenario, best)
+        position = Position3D(10.0, 10.0, 6.0)
+        report = compare_models(scenario, position)
         assert report.power_reduction_fraction == 0.9
         assert report.conventional_power == 10.0
         assert report.irs_power == 1.0
 
     def test_power_reduction_half(self):
         scenario = small_scenario(micro_power_conventional=10.0, micro_power_irs=5.0)
-        best = evaluate_placement(scenario, Position3D(10.0, 10.0, 6.0), Objective.EDGE_MIN)
-        report = compare_models(scenario, best)
+        position = Position3D(10.0, 10.0, 6.0)
+        report = compare_models(scenario, position)
         assert report.power_reduction_fraction == 0.5
 
     def test_equal_powers_zero_reduction(self):
         scenario = small_scenario(micro_power_conventional=2.0, micro_power_irs=2.0)
-        best = evaluate_placement(scenario, Position3D(10.0, 10.0, 6.0), Objective.EDGE_MIN)
-        report = compare_models(scenario, best)
+        position = Position3D(10.0, 10.0, 6.0)
+        report = compare_models(scenario, position)
         assert report.power_reduction_fraction == 0.0
 
     def test_edges_cover_same_points(self):
         scenario = small_scenario(silent_macro=False)
-        best = evaluate_placement(scenario, Position3D(10.0, 10.0, 6.0), Objective.EDGE_MIN)
-        report = compare_models(scenario, best)
+        position = Position3D(10.0, 10.0, 6.0)
+        report = compare_models(scenario, position)
         assert report.conventional_edge.point_count == report.irs_edge.point_count
 
     def test_inconsistent_fraction_rejected(self):
         scenario = small_scenario(silent_macro=False)
-        best = evaluate_placement(scenario, Position3D(10.0, 10.0, 6.0), Objective.EDGE_MIN)
-        good = compare_models(scenario, best)
+        position = Position3D(10.0, 10.0, 6.0)
+        good = compare_models(scenario, position)
         with pytest.raises(ValueError):
             ComparisonReport(
                 conventional_power=good.conventional_power,
