@@ -6,11 +6,9 @@ with fixed formatting and ordering so identical invocations produce
 byte-identical bytes.  Maps are computed in bounded blocks of lattice
 rows and written one row of text at a time, so a fine map needs no more
 memory than a coarse one; the scenario is checked before the output is
-opened, so a map that fails creates no file.  The IRS_PLANNER_THREADS
-environment variable is still validated (0, unset or a positive
-integer) but starts no threads: sweeps are scored in batches on one
-thread.  The argument parser is built once per process, on the first
-call of run, and reused: parsing keeps no state between calls.
+opened, so a map that fails creates no file.  The argument parser is
+built once per process, on the first call of run, and reused: parsing
+keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from dataclasses import replace
 from typing import Iterable
@@ -69,18 +66,6 @@ def _read_candidates(path: str) -> ExplicitList:
     if not positions:
         raise ConfigError("candidates file lists no positions")
     return ExplicitList(tuple(positions))
-
-
-def _check_thread_env() -> None:
-    raw = os.environ.get("IRS_PLANNER_THREADS", "").strip()
-    if raw in ("", "0"):
-        return
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"IRS_PLANNER_THREADS: not an integer: '{raw}'") from None
-    if count < 1:
-        raise ConfigError("IRS_PLANNER_THREADS: must be 0 (all cores) or a positive integer")
 
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
@@ -185,7 +170,6 @@ def run(argv: list[str] | None = None) -> int:
             chunks = _csv_rows(scenario.micro_extent, scenario.grid_resolution, blocks)
         elif args.command == "sweep":
             candidates = _read_candidates(args.candidates)
-            _check_thread_env()
             chunks = [ranking_to_csv(optimize_placement(scenario, candidates, scenario.objective))]
         else:
             chunks = [_comparison_csv(compare_models(scenario, scenario.panel.position))]

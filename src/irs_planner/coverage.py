@@ -14,19 +14,18 @@ that coincide with a transmitter get the sentinel and one warning per
 map rather than raising, so one degenerate point cannot abort a whole
 map.
 
-Maps are computed in blocks of whole lattice rows, at most
-_CHUNK_ELEMENTS points per block (one row if a row is longer).
-sinr_map_conventional and sinr_map_irs join the blocks into one SinrMap;
-the command line formats and writes each block as it comes, one row of
-text at a time, so its memory does not grow with the lattice.  The
-cell-edge scorers work the same way on batches of panel positions.
-
-One kernel, _Kernel, computes the direct or reflected signal and the
-SINR in dB for every map and scorer.  A call makes its buffers once and
-reuses them for every block or batch, writing each ufunc's result in
-place.  The kernel is elementwise and keeps one operation order, so a
-value does not depend on its block, its batch or the buffer size, and
-each call warns at most once about points on a transmitter.
+Every SINR value comes from one loop, _sinr_batches.  Per block of
+points it computes interference plus noise once, scores the serving
+rows in batches of at most _CHUNK_ELEMENTS elements through one kernel,
+_Kernel, whose buffers every batch reuses, and it warns at most once per
+call about points on a transmitter.  A map is one row over blocks of
+whole lattice rows (one row if a row is longer than _CHUNK_ELEMENTS);
+sinr_map_conventional and sinr_map_irs join the blocks into one SinrMap,
+and the command line writes each block as it comes, one row of text at
+a time, so its memory does not grow with the lattice.  Cell-edge scoring
+is many rows over one block, the perimeter.  The kernel is elementwise
+and keeps one operation order, so a value does not depend on its block,
+its batch or the buffer size.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,12 +203,13 @@ def _perimeter(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.nd
 class _Kernel:
     """Signal and SINR in dB over batches of points, in buffers made once.
 
-    A scorer or map call makes one kernel and passes every batch through
-    it.  Each ufunc writes with out= into the kernel's buffers, of `size`
-    elements, so a batch allocates no array of its own size; a result is
-    a view of a buffer and holds until the next call on the same kernel.
-    Each value is linkbudget's expression evaluated elementwise in the
-    same order, so it does not depend on the batch or the buffer size.
+    _sinr_batches makes one kernel per call and passes every batch
+    through it.  Each ufunc writes with out= into the kernel's buffers, of
+    `size` elements, so a batch allocates no array of its own size; a
+    result is a view of a buffer and holds until the next call on the
+    same kernel.  Each value is linkbudget's expression evaluated
+    elementwise in the same order, so it does not depend on the batch or
+    the buffer size.
     """
 
     def __init__(self, scenario: "Scenario", size: int) -> None:
@@ -340,27 +340,6 @@ class _Kernel:
         np.copyto(signal, 0.0, where=dead)
         return signal, dead
 
-    def signals(
-        self,
-        direct: bool,
-        positions: Sequence[Position3D],
-        r1: Sequence[float],
-        x: np.ndarray,
-        y: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Signal power and the points on its transmitter, one row per serving model.
-
-        The rows are direct service if `direct`, then reflected service
-        with the panel at each of `positions`, stacked in the first buffers
-        as shape (direct + K, points).
-        """
-        if direct:
-            self.direct(x, y)
-        if positions:
-            self.reflected(positions, r1, x, y, start=direct * len(x))
-        signal, _, _, _, dead, _ = self._views((direct + len(positions), len(x)))
-        return signal, dead
-
     def sinr_db(
         self, signal: np.ndarray, dead: np.ndarray, floor: np.ndarray, dead_i: np.ndarray
     ) -> tuple[np.ndarray, int]:
@@ -385,14 +364,6 @@ class _Kernel:
         np.copyto(db, SENTINEL_DB, where=off)
         return db, int(np.count_nonzero(dead))
 
-    def summarize(self, db: np.ndarray) -> list[EdgeStats]:
-        """_summarize of the rows that sinr_db returned.
-
-        Every signal, and so its dB, is in the first float buffer; the
-        second takes the linear terms.
-        """
-        return _summarize(db, self._views(db.shape)[1])
-
 
 def _warn_dead(count: int, stacklevel: int) -> None:
     """Warn once about `count` points on a transmitter, if there are any.
@@ -416,6 +387,58 @@ def _panel_hop(scenario: "Scenario", position: Position3D) -> float:
     return r1
 
 
+def _hops(scenario: "Scenario", positions: Sequence[Position3D]) -> list[float]:
+    """Distance from the base station to each candidate; a zero raises ValueError naming it."""
+    r1 = [distance(scenario.micro_bs_position, p) for p in positions]
+    if 0.0 in r1:
+        k = r1.index(0.0)
+        p = positions[k]
+        raise ValueError(
+            f"candidate {k} (counting from 0) at ({p.x!r}, {p.y!r}, {p.z!r}) "
+            "coincides with the base station"
+        )
+    return r1
+
+
+def _sinr_batches(
+    scenario: "Scenario",
+    direct: bool,
+    positions: Sequence[Position3D],
+    r1: Sequence[float],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    stacklevel: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """SINR in dB of each serving row over each block of points, batch by batch.
+
+    The rows are direct service if `direct`, then the panel at each of
+    `positions`, whose nonzero hops from the base station are `r1`.  No
+    block in `blocks` is longer than the first.  Each batch yields its dB,
+    shape (rows, points), and a spare float buffer of that shape: views
+    that hold until the next batch.  `stacklevel` is _warn_dead's, counted
+    from here: 2 blames the loop over this generator.
+    """
+    rows = direct + len(positions)
+    kernel = None
+    dead_count = 0
+    for x, y in blocks:
+        if kernel is None:  # sized by the first block, the longest
+            batch = max(1, min(rows, _CHUNK_ELEMENTS // len(x)))
+            kernel = _Kernel(scenario, batch * len(x))
+        floor, dead_i = kernel.floor(x, y)
+        for start in range(0, rows, batch):
+            lead = direct and start == 0
+            first, stop = max(start - direct, 0), start + batch - direct
+            if lead:
+                kernel.direct(x, y)
+            if positions[first:stop]:
+                kernel.reflected(positions[first:stop], r1[first:stop], x, y, lead * len(x))
+            signal, _, spare, _, dead, _ = kernel._views((min(batch, rows - start), len(x)))
+            db, count = kernel.sinr_db(signal, dead, floor, dead_i)
+            dead_count += count
+            yield db, spare
+    _warn_dead(dead_count, stacklevel)
+
+
 def _map_blocks(scenario: "Scenario", irs: bool) -> Iterator[np.ndarray]:
     """SINR in dB over the map lattice, one flat block of whole rows at a time.
 
@@ -425,31 +448,14 @@ def _map_blocks(scenario: "Scenario", irs: bool) -> Iterator[np.ndarray]:
     """
     xs, ys = _grid_axes(scenario.micro_extent, scenario.grid_resolution)
     rows = max(1, _CHUNK_ELEMENTS // len(xs))
-    kernel = _Kernel(scenario, min(rows, len(ys)) * len(xs))
-    if not irs:
-        return _blocks(kernel, kernel.direct, xs, ys, rows)
-    position = scenario.panel.position
-    r1 = _panel_hop(scenario, position)
-    return _blocks(kernel, lambda x, y: kernel.reflected([position], [r1], x, y), xs, ys, rows)
-
-
-def _blocks(
-    kernel: _Kernel,
-    signal_at: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    xs: np.ndarray,
-    ys: np.ndarray,
-    rows: int,
-) -> Iterator[np.ndarray]:
-    dead_count = 0
-    for j0 in range(0, len(ys), rows):
-        x, y = _lattice_rows(xs, ys[j0 : j0 + rows])
-        floor, dead_i = kernel.floor(x, y)
-        db, count = kernel.sinr_db(*signal_at(x, y), floor, dead_i)
-        dead_count += count
-        # a copy, because the kernel reuses its buffers for the next block
-        yield db.reshape(-1).copy()
-    # one warning per map, after the last block, blaming sinr_map_*'s caller
-    _warn_dead(dead_count, stacklevel=4)
+    blocks = (_lattice_rows(xs, ys[j0 : j0 + rows]) for j0 in range(0, len(ys), rows))
+    positions = [scenario.panel.position] if irs else []
+    r1 = [_panel_hop(scenario, p) for p in positions]
+    # the warning blames sinr_map_*'s caller or cli.run, past the copy below,
+    # _as_map or _csv_rows, and sinr_map_* or cli._write_output
+    batches = _sinr_batches(scenario, not irs, positions, r1, blocks, stacklevel=5)
+    # a copy, because the kernel reuses its buffers for the next block
+    return (db.reshape(-1).copy() for db, _ in batches)
 
 
 def _as_map(scenario: "Scenario", blocks: Iterator[np.ndarray]) -> SinrMap:
@@ -587,29 +593,15 @@ def _edge_rows(
     """Cell-edge statistics of direct service if `direct`, then of each panel position.
 
     `r1` holds each position's nonzero hop length from the base station.
-    The perimeter and its interference plus noise are computed once.  The
-    rows are then scored in batches of at most _CHUNK_ELEMENTS array
-    elements, the direct row first in the first batch, through one kernel
-    whose buffers every batch reuses, so memory stays bounded however many
-    positions there are and a value does not depend on its batch.
-    Perimeter points on a transmitter get the sentinel and one warning
-    per call, counting them over all rows; it blames the caller's caller.
+    The perimeter is one block of _sinr_batches, so memory stays bounded
+    however many positions there are.  The one warning per call blames
+    the caller of the public scorer that calls this.
     """
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
-    rows = direct + len(positions)
-    chunk = max(1, _CHUNK_ELEMENTS // len(x))
-    kernel = _Kernel(scenario, min(chunk, rows) * len(x))
-    floor, dead_i = kernel.floor(x, y)
     stats = []
-    dead_count = 0
-    for start in range(0, rows, chunk):
-        lead = direct and start == 0
-        first, stop = max(start - direct, 0), start + chunk - direct
-        signal, dead = kernel.signals(lead, positions[first:stop], r1[first:stop], x, y)
-        db, count = kernel.sinr_db(signal, dead, floor, dead_i)
-        dead_count += count
-        stats.extend(kernel.summarize(db))
-    _warn_dead(dead_count, stacklevel=3)
+    # past _sinr_batches and this lie the public scorer, then its caller
+    for db, spare in _sinr_batches(scenario, direct, positions, r1, [(x, y)], stacklevel=4):
+        stats.extend(_summarize(db, spare))
     return stats
 
 
@@ -635,15 +627,7 @@ def edge_stats_reflected(
     over all positions.  A position on the base station raises
     ValueError before any scoring.
     """
-    r1 = [distance(scenario.micro_bs_position, p) for p in positions]
-    if 0.0 in r1:
-        k = r1.index(0.0)
-        p = positions[k]
-        raise ValueError(
-            f"candidate {k} (counting from 0) at ({p.x!r}, {p.y!r}, {p.z!r}) "
-            "coincides with the base station"
-        )
-    return _edge_rows(scenario, False, positions, r1)
+    return _edge_rows(scenario, False, positions, _hops(scenario, positions))
 
 
 def format_value(value: float) -> str:

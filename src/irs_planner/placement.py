@@ -17,9 +17,9 @@ from .coverage import (
     EdgeStats,
     _axis,
     _edge_rows,
+    _hops,
     _is_whole,
     _panel_hop,
-    edge_stats_reflected,
 )
 from .linkbudget import Position3D, distance
 from .scenario import Objective, Scenario
@@ -132,8 +132,7 @@ def evaluate_placement(
 
     A position on the base station raises ValueError.
     """
-    _panel_hop(scenario, irs_position)
-    [stats] = edge_stats_reflected(scenario, [irs_position])
+    [stats] = _edge_rows(scenario, False, [irs_position], [_panel_hop(scenario, irs_position)])
     return _result(irs_position, stats, objective)
 
 
@@ -151,10 +150,8 @@ def optimize_placement(
     center, then by (x, y, z).
     """
     candidates = enumerate_candidates(spec)
-    results = [
-        _result(c, stats, objective)
-        for c, stats in zip(candidates, edge_stats_reflected(scenario, candidates))
-    ]
+    stats = _edge_rows(scenario, False, candidates, _hops(scenario, candidates))
+    results = [_result(c, s, objective) for c, s in zip(candidates, stats)]
     cx, cy = scenario.micro_extent.center()
     center = Position3D(cx, cy, 0.0)
 

@@ -106,17 +106,6 @@ class TestRuntimeErrors:
         assert run(["compare", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: line 1: {key}: value out of range\n"
 
-    def test_bad_thread_env(self, config_path, candidates_path, capsys, monkeypatch):
-        monkeypatch.setenv("IRS_PLANNER_THREADS", "many")
-        args = ["sweep", "--config", config_path, "--candidates", candidates_path]
-        assert run(args) == 1
-        assert "IRS_PLANNER_THREADS" in capsys.readouterr().err
-
-    def test_negative_thread_env(self, config_path, candidates_path, capsys, monkeypatch):
-        monkeypatch.setenv("IRS_PLANNER_THREADS", "-3")
-        args = ["sweep", "--config", config_path, "--candidates", candidates_path]
-        assert run(args) == 1
-
 
 class TestMapCommands:
     def test_map_conv_stdout(self, config_path, capsys):

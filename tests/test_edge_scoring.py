@@ -171,6 +171,28 @@ def test_compare_warns_once_for_both_models():
     ]
     assert caught[0].filename == __file__
     assert report.conventional_edge.min_db == report.irs_edge.min_db == -math.inf
+    # every other public scorer, with the one point in its one row, warns
+    # once too, and the warning blames the scorer's caller
+    panel = scenario.panel.position
+    for call in (
+        lambda: sinr_map_conventional(scenario),
+        lambda: sinr_map_irs(scenario),
+        lambda: coverage.edge_stats_direct(scenario),
+        lambda: coverage.edge_stats_reflected(scenario, [panel]),
+        lambda: evaluate_placement(scenario, panel, Objective.EDGE_MIN),
+        lambda: optimize_placement(scenario, ExplicitList((panel,)), Objective.EDGE_MIN),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [str(w.message) for w in caught] == [
+            "1 grid point(s) coincide with a transmitter; writing the -inf sentinel there"
+        ]
+        assert caught[0].filename == __file__
+
+
+def test_no_positions_give_no_statistics():
+    assert coverage.edge_stats_reflected(default_scenario(), []) == []
 
 
 def test_compare_rejects_a_panel_on_the_station():

@@ -1,7 +1,10 @@
-"""The four default CLI outputs, pinned by their full sha256.
+"""The four CLI outputs, pinned by their full sha256, on two scenarios.
 
-These are the commands `bench/golden.py` runs, with the same candidates
-text, so a change that moves any output byte fails here.  The hashes
+The default ones are the commands `bench/golden.py` runs, with the same
+candidates text, so a change that moves any output byte fails here.  The
+masked ones run a tilted geometric-mode panel, which leaves points
+behind it, with the macro station on a lattice corner, which puts the
+-inf sentinel on the edge of every map and ranking.  The hashes
 were pinned on x86-64 with AVX-512F and numpy 2.4.6.  numpy's vectorized
 `power` takes a different code path on other CPUs and rounds some inputs
 differently from libm's pow, so another host may need its own pins.
@@ -33,3 +36,36 @@ def test_default_output_bytes(command, tmp_path):
     out = tmp_path / f"{command}.csv"
     assert run(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]
+
+
+MASKED_CONFIG = """\
+irs_normal = 0.6,0,-0.8
+macro_bs_x = 0
+macro_bs_y = 0
+macro_bs_z = 1.5
+grid_resolution = 10
+"""
+# the last candidate is an edge point at user height
+MASKED_CANDIDATES = CANDIDATES + "200,100,1.5\n"
+
+MASKED = {
+    "map-conv": "a50dbd9ddc873b8e7184c91644fb6c9cbc745d89911d05774c560ac7eea88774",
+    "map-irs": "673e22f19d6b67a4c32a54c8d7df051ec186e603e169e0ef80281720a0a6fe40",
+    "compare": "53a0931186e01ed3d88c839444246091d409e717dba058f6aa03ed803c4bc91c",
+    "sweep": "9f7eb3ff344882f677382a28846f94fc38e037a02db22281d7b98c64d96bd846",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MASKED))
+def test_masked_output_bytes(command, tmp_path):
+    config = tmp_path / "masked.conf"
+    config.write_text(MASKED_CONFIG)
+    argv = [command, "--config", str(config)]
+    if command == "sweep":
+        candidates = tmp_path / "candidates.csv"
+        candidates.write_text(MASKED_CANDIDATES)
+        argv += ["--candidates", str(candidates)]
+    out = tmp_path / f"{command}.csv"
+    with pytest.warns(RuntimeWarning, match="coincide with a transmitter"):
+        assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MASKED[command]

@@ -1,13 +1,15 @@
 """The SINR kernel against the 50-digit oracle, the scalar API and its own past.
 
-coverage's array kernel (`_Kernel.direct`, `.interference` and
-`.reflected`) and the scalar API in linkbudget and sinr evaluate the
-same equations, in the same order.  The kernel is checked here factor by
-factor against the mpmath references in `oracles.py`, at criterion 2's
-1e-10 relative bound, and the scalar API is checked to agree with it to
-a few ulp on whole lattices.  Its dB values are also checked bit for bit
-against the unbuffered numpy expressions it replaced, written out below,
-through every mask and at every batch and block size.
+coverage's array kernel (`_Kernel.power_law`, `.direct`,
+`.interference`, `.floor`, `.reflected` and `.sinr_db`, which
+`coverage._sinr_batches` drives for every map and scorer) and the scalar
+API in linkbudget and sinr evaluate the same equations, in the same
+order.  The kernel is checked here factor by factor against the mpmath
+references in `oracles.py`, at criterion 2's 1e-10 relative bound, and
+the scalar API is checked to agree with it to a few ulp on whole
+lattices.  Its dB values are also checked bit for bit against the
+unbuffered numpy expressions it replaced, written out below, through
+every mask and at every batch and block size.
 """
 
 import math
@@ -333,13 +335,13 @@ def _masked_positions(scenario):
 def _scored(call, monkeypatch):
     """What `call` returns, the dB rows its kernel summarized, and its warnings."""
     rows = []
-    summarize = coverage._Kernel.summarize
+    summarize = coverage._summarize
 
-    def record(kernel, db):
+    def record(db, terms):
         rows.append(db.copy())
-        return summarize(kernel, db)
+        return summarize(db, terms)
 
-    monkeypatch.setattr(coverage._Kernel, "summarize", record)
+    monkeypatch.setattr(coverage, "_summarize", record)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = call()
