@@ -4,11 +4,11 @@ Exit status is 0 on success, 1 on a runtime failure (bad config, bad
 candidate file, I/O), and 2 on a usage error.  Output files are written
 with fixed formatting and ordering so identical invocations produce
 byte-identical bytes.  Maps are computed in bounded blocks of lattice
-rows and written one row of text at a time, so a fine map needs no more
-memory than a coarse one; the scenario is checked before the output is
-opened, so a map that fails creates no file.  The argument parser is
-built once per process, on the first call of run, and reused: parsing
-keeps no state between calls.
+rows and written in bounded sub-blocks of rows, so a fine map needs no
+more memory than a coarse one; the scenario is checked before the
+output is opened, so a map that fails creates no file.  The argument
+parser is built once per process, on the first call of run, and reused:
+parsing keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ def _parse_position(text: str, flag: str) -> Position3D:
         x, y, z = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{flag}: expected three numbers") from None
+    if not all(map(math.isfinite, (x, y, z))):
+        raise ConfigError(f"{flag}: coordinates must be finite")
     return Position3D(x, y, z)
 
 

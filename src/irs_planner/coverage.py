@@ -21,11 +21,19 @@ _Kernel, whose buffers every batch reuses, and it warns at most once per
 call about points on a transmitter.  A map is one row over blocks of
 whole lattice rows (one row if a row is longer than _CHUNK_ELEMENTS);
 sinr_map_conventional and sinr_map_irs join the blocks into one SinrMap,
-and the command line writes each block as it comes, one row of text at
-a time, so its memory does not grow with the lattice.  Cell-edge scoring
-is many rows over one block, the perimeter.  The kernel is elementwise
-and keeps one operation order, so a value does not depend on its block,
-its batch or the buffer size.
+and the command line writes each block as it comes, so its memory does
+not grow with the lattice.  Cell-edge scoring is many rows over one
+block, the perimeter.  The kernel is elementwise and keeps one operation
+order, so a value does not depend on its block, its batch or the buffer
+size.
+
+Map text is written in sub-blocks of whole rows, at most _TEXT_ELEMENTS
+points, each as one matrix of bytes (_csv_rows).  format_value (repr)
+defines the text of every number.  _format_values writes the same digits
+for a whole array of map values from exact integer arithmetic, and
+leaves to format_value the few values outside the range where it does
+so; sweep rankings and compare, which write a few numbers each, call
+format_value directly.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,6 +56,16 @@ SENTINEL_DB = -math.inf
 _CHUNK_ELEMENTS = 1 << 15
 # a lattice ratio this many ulp or fewer below an integer counts as it
 _SNAP_ULPS = 4
+# lattice points per sub-block of map text: _csv_rows formats whole rows,
+# at most this many points at a time (one row if a row is longer)
+_TEXT_ELEMENTS = 1 << 13
+# columns _format_values may write: a sign, 16 integer digits, the point and
+# 18 fraction digits, which is more than format_value's longest text (24)
+_VALUE_COLUMNS = 36
+# the byte that pads map text to its columns; no text holds it
+_PAD = 0
+_MANTISSA = (1 << 52) - 1
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)  # 10**18 < 2**63
 
 
 @dataclass(frozen=True)
@@ -638,22 +655,166 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
+def _text_table(texts: Sequence[str], width: int) -> np.ndarray:
+    """ASCII texts as the rows of a uint8 matrix `width` wide, padded with _PAD."""
+    padded = "".join([t.ljust(width, chr(_PAD)) for t in texts]).encode("ascii")
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
+
+
+def _format_values(values: np.ndarray, chars: np.ndarray) -> int:
+    """Write format_value of each value into a row of `chars`; return the width used.
+
+    Row k of `chars` (uint8, at least _VALUE_COLUMNS columns), read over
+    the returned width without its _PAD bytes, is the text of values[k].
+    Columns from that width on are left as they were.
+
+    Every finite v with 2**-4 <= |v| < 2**50 whose mantissa is not a power
+    of two is written from exact integers, by the free-format algorithm of
+    Steele & White ("How to Print Floating-Point Numbers Accurately", PLDI
+    1990) that repr follows.  With v = M * 2**(e - 53) and 2**52 <= M <
+    2**53, the integer part is M >> (53 - e), and the rest of v is R / S
+    with R = 4 * M mod S and S = 2**(55 - e), so that half an ulp is 2.
+    Each step multiplies R by 10 and takes the next digit off it, and
+    multiplies the margin, which starts at half an ulp, by 10.  The digits
+    stop at the first step where they, or they with the last one raised,
+    lie within the margin of v (or on it when M is even, since
+    round-half-even reads that back as v).  Once a step stops, every later
+    one would.  The last digit is then rounded half to even on what is
+    left, R / S: if only one of the two candidates lies within the margin,
+    it is the nearer one.  In this range an ulp is at most 1/8, so the
+    integer part is never cut and the text is fixed-point, as repr writes
+    it, and every integer in the loop stays below 2**63.
+
+    Every -inf sentinel gets the text of one format_value call.  A raised
+    digit that would carry past 9 (the stop rule leaves none), and every
+    other value (zeros, subnormals, non-finite values, powers of two,
+    values outside the range), are written by format_value one by one.
+    The text is built one column per row of a scratch matrix, so that each
+    step writes one contiguous row, and is copied into `chars` once.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = len(values)
+    bits = values.view(np.int64)
+    biased = (bits >> 52) & 0x7FF
+    fast = (biased >= 1019) & (biased <= 1072) & ((bits & _MANTISSA) != 0)
+    # 1.5 stands in for the others: it stops after one digit
+    np.copyto(biased, 1023, where=~fast)
+    mantissa = bits & _MANTISSA
+    np.copyto(mantissa, 1 << 51, where=~fast)
+    mantissa |= 1 << 52
+    shift = 1075 - biased  # 53 - e, from 3 to 56
+    whole = mantissa >> shift
+    shift += 2
+    size = np.left_shift(1, shift)  # S
+    mask = size - 1
+    fraction = mantissa << 2
+    fraction &= mask  # R
+    even = 1 - (mantissa & 1)
+
+    # row c holds column c of the text: the sign, the integer digits
+    # right-aligned, the point, then the fraction digits
+    text = np.empty((_VALUE_COLUMNS, n), dtype=np.uint8)
+    text[0] = _PAD
+    np.copyto(text[0], ord("-"), where=bits < 0)
+    point = 1 + len(str(int(whole.max())))
+    rest = whole
+    for column in range(point - 1, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        np.add(digit, ord("0"), out=text[column], casting="unsafe")
+        if column < point - 1:  # the units digit stays, 0 included
+            np.copyto(text[column], _PAD, where=whole < _POWERS_OF_TEN[point - 1 - column])
+    text[point] = ord(".")
+
+    digits = text[point + 1 :]
+    start = fraction.copy()
+    limit = np.empty_like(whole)
+    gap = np.empty_like(whole)
+    stop = np.zeros(n, dtype=bool)
+    stopped = np.zeros(n, dtype=np.uint8)  # steps taken after the last digit
+    margin = 2
+    steps = 0
+    while not stop.all():
+        stopped += stop
+        fraction *= 10
+        margin *= 10
+        np.right_shift(fraction, shift, out=digits[steps], casting="unsafe")
+        digits[steps] += ord("0")
+        np.copyto(digits[steps], _PAD, where=stop)
+        fraction &= mask
+        np.add(even, margin, out=limit)
+        np.subtract(size, fraction, out=gap)
+        np.minimum(gap, fraction, out=gap)
+        np.less(gap, limit, out=stop)
+        steps += 1
+    count = steps - stopped.astype(np.int64)  # fraction digits of each value
+
+    # the last digit rounds half to even on the rest, R / S: when only one
+    # of it and it raised lies within the margin, that one is the nearer.
+    # R is 4 * M * 10**count mod S, from unsigned products, which wrap
+    # modulo 2**64, a multiple of S
+    power = _POWERS_OF_TEN[count].view(np.uint64)
+    fraction = (start.view(np.uint64) * power).view(np.int64)
+    fraction &= mask
+    fraction <<= 1  # 2R against S
+    index = (count - 1) * n + np.arange(n)
+    last = digits.reshape(-1)[index]
+    up = fraction > size
+    up |= (fraction == size) & ((last & 1) == 1)
+    last += up
+    digits.reshape(-1)[index] = last
+    fast &= last <= ord("9")
+    width = point + 1 + steps
+    chars[:, :width] = text[:width].T
+
+    sentinel = values == SENTINEL_DB
+    other = np.flatnonzero(~fast & ~sentinel)
+    texts = [format_value(v) for v in values[other].tolist()]
+    end = max([width] + [len(t) for t in texts])
+    chars[:, width:end] = _PAD
+    # "-inf" fits: the width holds a sign, a digit, the point and a digit
+    chars[sentinel, :width] = _text_table([format_value(SENTINEL_DB)], width)
+    if texts:
+        chars[other, :end] = _text_table(texts, end)
+    return end
+
+
 def _csv_rows(
     extent: CellExtent, resolution: float, blocks: Iterable[np.ndarray]
 ) -> Iterator[str]:
-    """The CSV text of a map: the header line, then one string per lattice row.
+    """The CSV text of a map: the header line, then one string per sub-block.
 
     `blocks` hold the map's values in grid order, in whole rows.  Each
-    coordinate is formatted once per map.
+    block is written in sub-blocks of whole rows, at most _TEXT_ELEMENTS
+    points (one row if a row is longer).  A sub-block's lines are the rows
+    of one uint8 matrix, x field, comma, y field, comma, value, newline,
+    each field padded with _PAD to its widest text; the text is the
+    matrix's bytes without the padding.  Each coordinate is formatted once
+    per map by format_value, and the values by _format_values.  Every
+    sub-block reuses the matrix, so the x fields and commas are written once.
     """
     xs, ys = (list(map(format_value, axis.tolist())) for axis in _grid_axes(extent, resolution))
     nx = len(xs)
+    x_table = _text_table(xs, max(map(len, xs)))
+    y_table = _text_table(ys, max(map(len, ys)))
+    y0 = x_table.shape[1] + 1
+    v0 = y0 + y_table.shape[1] + 1
+    rows = max(1, _TEXT_ELEMENTS // nx)  # per sub-block
+    chars = np.empty((rows, nx, v0 + _VALUE_COLUMNS + 1), dtype=np.uint8)
+    chars[:, :, : y0 - 1] = x_table
+    chars[:, :, [y0 - 1, v0 - 1]] = ord(",")
     yield "x_m,y_m,sinr_db\n"
-    rows = iter(ys)
+    j = 0
     for block in blocks:
-        values = map(repr, block.tolist())  # format_value, unrolled
-        for y in islice(rows, len(block) // nx):
-            yield "".join([f"{x},{y},{v}\n" for x, v in zip(xs, islice(values, nx))])
+        for start in range(0, len(block), rows * nx):
+            values = block[start : start + rows * nx]
+            taken = len(values) // nx
+            chars[:taken, :, y0 : v0 - 1] = y_table[j : j + taken, None]
+            j += taken
+            line = chars[:taken].reshape(len(values), -1)
+            end = v0 + _format_values(values, line[:, v0:])
+            line[:, end] = ord("\n")
+            line[:, end + 1 :] = _PAD
+            yield line.tobytes().translate(None, bytes([_PAD])).decode("ascii")
 
 
 def map_to_csv(sinr_map: SinrMap) -> str:

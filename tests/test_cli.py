@@ -106,6 +106,28 @@ class TestRuntimeErrors:
         assert run(["compare", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: line 1: {key}: value out of range\n"
 
+    @pytest.mark.parametrize(
+        "argv, source",
+        [
+            (["map-conv", "--bs", "nan,10,5"], "--bs"),
+            (["compare", "--bs", "10,-inf,5"], "--bs"),
+            (["map-irs", "--irs", "10,10,inf"], "--irs"),
+            (["compare", "--irs", "NaN,10,6"], "--irs"),
+            (["sweep", "--candidates", "CANDIDATES"], "candidates line 3"),
+        ],
+        ids=["bs nan", "bs -inf", "irs inf", "irs NaN", "candidate inf"],
+    )
+    def test_non_finite_coordinates_name_their_source(
+        self, argv, source, config_path, tmp_path, capsys
+    ):
+        path = tmp_path / "cand.csv"
+        path.write_text("x_m,y_m,z_m\n4,10,6\n10,inf,6\n")
+        argv = [str(path) if arg == "CANDIDATES" else arg for arg in argv]
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--config", config_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {source}: coordinates must be finite\n"
+        assert not out.exists()
+
 
 class TestMapCommands:
     def test_map_conv_stdout(self, config_path, capsys):

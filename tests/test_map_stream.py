@@ -1,10 +1,11 @@
 """Maps computed and written in bounded blocks of lattice rows.
 
-`cli map-conv` and `map-irs` compute a map block by block and write one
-row of text at a time.  Whatever the block size, their bytes must equal
-`map_to_csv` of the whole map and a row join written out here, points on
-a transmitter must give one warning per map, and a fine map must not hold
-the whole lattice in memory.
+`cli map-conv` and `map-irs` compute a map block by block and write each
+block's text in sub-blocks of whole rows.  Whatever the block and
+sub-block sizes, their bytes must equal `map_to_csv` of the whole map and
+a row join written out here with `format_value`, points on a transmitter
+must give one warning per map, and a fine map must not hold the whole
+lattice in memory.
 """
 
 import tracemalloc
@@ -87,8 +88,11 @@ def test_cli_bytes_do_not_depend_on_the_block_size(command, config, chunk, tmp_p
         assert 0 < expected.count(",-inf\n") < NX * 12
 
     monkeypatch.setattr(coverage, "_CHUNK_ELEMENTS", CHUNKS[chunk])
-    assert map_to_csv(MAPS[command](scenario)) == expected
-    assert _cli_bytes(tmp_path, [command, "--config", path]) == expected.encode("utf-8")
+    # every text sub-block size, so that blocks are also split into several
+    for text in CHUNKS.values():
+        monkeypatch.setattr(coverage, "_TEXT_ELEMENTS", text)
+        assert map_to_csv(MAPS[command](scenario)) == expected
+        assert _cli_bytes(tmp_path, [command, "--config", path]) == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("command", sorted(MAPS))
