@@ -1,16 +1,13 @@
-"""Coverage simulation and placement optimization for panel-assisted small cells."""
+"""Coverage simulation and placement optimization for panel-assisted small cells.
 
-from .coverage import (
-    CellExtent,
-    EdgeStats,
-    SinrMap,
-    build_grid,
-    cell_edge_points,
-    edge_stats,
-    map_to_csv,
-    sinr_map_conventional,
-    sinr_map_irs,
-)
+The scalar link budget (linkbudget, sinr) and the scenario and config
+code (scenario) are pure Python and load with the package.  The numpy
+modules, coverage and placement, load on first use of one of their names
+here (PEP 562): importing the package alone does not import numpy.
+"""
+
+import importlib
+
 from .linkbudget import (
     SPEED_OF_LIGHT,
     BehindSurfaceError,
@@ -29,18 +26,8 @@ from .linkbudget import (
     watts_to_dbm,
     wavelength,
 )
-from .placement import (
-    ComparisonReport,
-    ExplicitList,
-    GridSweep,
-    PlacementResult,
-    compare_models,
-    enumerate_candidates,
-    evaluate_placement,
-    optimize_placement,
-    ranking_to_csv,
-)
 from .scenario import (
+    CellExtent,
     ConfigError,
     Objective,
     Scenario,
@@ -53,6 +40,43 @@ from .scenario import (
 from .sinr import InterferenceSource, SinrSample, interference_power, sinr
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it (or the module itself), both of which
+# import numpy; __getattr__ imports the module when the name is first read
+_LAZY = {
+    "coverage": "coverage",
+    "EdgeStats": "coverage",
+    "SinrMap": "coverage",
+    "build_grid": "coverage",
+    "cell_edge_points": "coverage",
+    "edge_stats": "coverage",
+    "map_to_csv": "coverage",
+    "sinr_map_conventional": "coverage",
+    "sinr_map_irs": "coverage",
+    "placement": "placement",
+    "ComparisonReport": "placement",
+    "ExplicitList": "placement",
+    "GridSweep": "placement",
+    "PlacementResult": "placement",
+    "compare_models": "placement",
+    "enumerate_candidates": "placement",
+    "evaluate_placement": "placement",
+    "optimize_placement": "placement",
+    "ranking_to_csv": "placement",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "SPEED_OF_LIGHT",

@@ -6,7 +6,8 @@ with fixed formatting and ordering so identical invocations produce
 byte-identical bytes.  Maps are computed in bounded blocks of lattice
 rows and written in bounded sub-blocks of rows, so a fine map needs no
 more memory than a coarse one; the scenario is checked before the
-output is opened, so a map that fails creates no file.  The argument
+output is opened, and a map that fails while it is written removes the
+regular file it opened, so a map that fails creates no file.  The argument
 parser is built once per process, on the first call of run, and reused:
 parsing keeps no state between calls.
 """
@@ -14,8 +15,11 @@ parsing keeps no state between calls.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 from typing import Iterable
@@ -86,11 +90,25 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
 
 
 def _write_output(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to stdout or to the file `out`.
+
+    If writing raises, `out` is removed before the error propagates, but
+    only while it still names the regular file that was opened: a device,
+    a pipe or a symlink is left alone.
+    """
     if out is None:
         sys.stdout.writelines(chunks)
         return
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(chunks)
+    handle = open(out, "w", encoding="utf-8", newline="")
+    opened = os.fstat(handle.fileno())
+    try:
+        with handle:
+            handle.writelines(chunks)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(out)):
+                os.remove(out)
+        raise
 
 
 def _comparison_csv(report: ComparisonReport) -> str:

@@ -1,5 +1,9 @@
 """Downlink SINR maps over a rectangular service area.
 
+This module and placement, which builds on it, are the package's numpy
+code; the service area, a scenario.CellExtent, is defined with the
+scenario so that the scalar API loads without numpy.
+
 A map samples the user plane on a regular lattice: nx = floor(width /
 resolution) + 1 columns and ny = floor(depth / resolution) + 1 rows,
 stored row-major (the row index varies slowest).  The coordinates along
@@ -8,8 +12,9 @@ maps, edges, CSV text and placement's grid sweeps all take theirs from
 it, so they agree to the bit.  A ratio that falls
 within a few ulp below an integer counts as that integer, so 0.3 / 0.1
 (2.9999999999999996 in floats) gives 4 columns and the last column lies
-on the far boundary, within one ulp, instead of a step inside it.
-Values are SINR in dB with -inf as the zero-signal sentinel; grid points
+on the far boundary, within one ulp, instead of a step inside it.  A
+resolution that leaves more than sys.maxsize steps along a side is a
+ValueError naming grid_resolution.  Values are SINR in dB with -inf as the zero-signal sentinel; grid points
 that coincide with a transmitter get the sentinel and one warning per
 map rather than raising, so one degenerate point cannot abort a whole
 map.
@@ -39,16 +44,15 @@ format_value directly.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .linkbudget import FixedAngles, Position3D, _cascade_gain, _incidence_cosine, distance
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
+from .scenario import CellExtent, Scenario
 
 SENTINEL_DB = -math.inf
 # array elements per batch: panel positions scored on the cell edge, or
@@ -66,34 +70,6 @@ _VALUE_COLUMNS = 36
 _PAD = 0
 _MANTISSA = (1 << 52) - 1
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)  # 10**18 < 2**63
-
-
-@dataclass(frozen=True)
-class CellExtent:
-    """An axis-aligned rectangle on the ground plane, in meters."""
-
-    origin_x: float
-    origin_y: float
-    width: float
-    depth: float
-
-    def __post_init__(self) -> None:
-        for name in ("origin_x", "origin_y", "width", "depth"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"CellExtent.{name} must be finite")
-        if not (self.width > 0 and self.depth > 0):
-            raise ValueError("extent width and depth must be positive")
-
-    def contains(self, other: "CellExtent") -> bool:
-        return (
-            other.origin_x >= self.origin_x
-            and other.origin_y >= self.origin_y
-            and other.origin_x + other.width <= self.origin_x + self.width
-            and other.origin_y + other.depth <= self.origin_y + self.depth
-        )
-
-    def center(self) -> tuple[float, float]:
-        return (self.origin_x + self.width / 2.0, self.origin_y + self.depth / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +119,11 @@ def _check_resolution(extent: CellExtent, resolution: float) -> None:
         raise ValueError("grid_resolution must be positive")
     if resolution > min(extent.width, extent.depth):
         raise ValueError("grid_resolution must not exceed the extent dimensions")
+    # also rejects an infinite ratio, which no step count can hold
+    if not max(extent.width, extent.depth) / resolution <= sys.maxsize:
+        raise ValueError(
+            f"grid_resolution {resolution!r} leaves more than {sys.maxsize} steps along a side"
+        )
 
 
 def _is_whole(ratio: float) -> bool:
@@ -229,7 +210,7 @@ class _Kernel:
     the buffer size.
     """
 
-    def __init__(self, scenario: "Scenario", size: int) -> None:
+    def __init__(self, scenario: Scenario, size: int) -> None:
         self.scenario = scenario
         self._real = np.empty((4, size))
         self._mask = np.empty((2, size), dtype=bool)
@@ -396,7 +377,7 @@ def _warn_dead(count: int, stacklevel: int) -> None:
         )
 
 
-def _panel_hop(scenario: "Scenario", position: Position3D) -> float:
+def _panel_hop(scenario: Scenario, position: Position3D) -> float:
     """Distance from the base station to one panel position; zero raises ValueError."""
     r1 = distance(scenario.micro_bs_position, position)
     if r1 == 0.0:
@@ -404,7 +385,7 @@ def _panel_hop(scenario: "Scenario", position: Position3D) -> float:
     return r1
 
 
-def _hops(scenario: "Scenario", positions: Sequence[Position3D]) -> list[float]:
+def _hops(scenario: Scenario, positions: Sequence[Position3D]) -> list[float]:
     """Distance from the base station to each candidate; a zero raises ValueError naming it."""
     r1 = [distance(scenario.micro_bs_position, p) for p in positions]
     if 0.0 in r1:
@@ -418,7 +399,7 @@ def _hops(scenario: "Scenario", positions: Sequence[Position3D]) -> list[float]:
 
 
 def _sinr_batches(
-    scenario: "Scenario",
+    scenario: Scenario,
     direct: bool,
     positions: Sequence[Position3D],
     r1: Sequence[float],
@@ -456,7 +437,7 @@ def _sinr_batches(
     _warn_dead(dead_count, stacklevel)
 
 
-def _map_blocks(scenario: "Scenario", irs: bool) -> Iterator[np.ndarray]:
+def _map_blocks(scenario: Scenario, irs: bool) -> Iterator[np.ndarray]:
     """SINR in dB over the map lattice, one flat block of whole rows at a time.
 
     With `irs` the signal is the cascaded path through the panel only,
@@ -475,7 +456,7 @@ def _map_blocks(scenario: "Scenario", irs: bool) -> Iterator[np.ndarray]:
     return (db.reshape(-1).copy() for db, _ in batches)
 
 
-def _as_map(scenario: "Scenario", blocks: Iterator[np.ndarray]) -> SinrMap:
+def _as_map(scenario: Scenario, blocks: Iterator[np.ndarray]) -> SinrMap:
     return SinrMap(
         extent=scenario.micro_extent,
         resolution=scenario.grid_resolution,
@@ -484,12 +465,12 @@ def _as_map(scenario: "Scenario", blocks: Iterator[np.ndarray]) -> SinrMap:
     )
 
 
-def sinr_map_conventional(scenario: "Scenario") -> SinrMap:
+def sinr_map_conventional(scenario: Scenario) -> SinrMap:
     """SINR map served directly by the small-cell base station."""
     return _as_map(scenario, _map_blocks(scenario, irs=False))
 
 
-def sinr_map_irs(scenario: "Scenario") -> SinrMap:
+def sinr_map_irs(scenario: Scenario) -> SinrMap:
     """SINR map served through the reflecting panel at reduced power.
 
     Only the cascaded path contributes to the signal.  Geometric-mode
@@ -605,7 +586,7 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
 
 
 def _edge_rows(
-    scenario: "Scenario", direct: bool, positions: Sequence[Position3D], r1: Sequence[float]
+    scenario: Scenario, direct: bool, positions: Sequence[Position3D], r1: Sequence[float]
 ) -> list[EdgeStats]:
     """Cell-edge statistics of direct service if `direct`, then of each panel position.
 
@@ -622,7 +603,7 @@ def _edge_rows(
     return stats
 
 
-def edge_stats_direct(scenario: "Scenario") -> EdgeStats:
+def edge_stats_direct(scenario: Scenario) -> EdgeStats:
     """Cell-edge statistics of direct service, computed on the perimeter only.
 
     Equal to edge_stats(sinr_map_conventional(scenario), cell_edge_points(...))
@@ -633,7 +614,7 @@ def edge_stats_direct(scenario: "Scenario") -> EdgeStats:
 
 
 def edge_stats_reflected(
-    scenario: "Scenario", positions: Sequence[Position3D]
+    scenario: Scenario, positions: Sequence[Position3D]
 ) -> list[EdgeStats]:
     """Cell-edge statistics of panel-assisted service, one per panel position.
 

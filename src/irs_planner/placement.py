@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .coverage import (
-    CellExtent,
     EdgeStats,
     _axis,
     _edge_rows,
@@ -22,7 +21,7 @@ from .coverage import (
     _panel_hop,
 )
 from .linkbudget import Position3D, distance
-from .scenario import Objective, Scenario
+from .scenario import CellExtent, Objective, Scenario
 
 
 @dataclass(frozen=True)

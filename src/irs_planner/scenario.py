@@ -11,6 +11,9 @@ The format is written once, as two tables: ``_DEFAULTS`` lists every key
 with its default in dump order, and ``_VARIANTS`` maps each
 ``_db``/``_dbm``/``_deg`` key variant to the key it replaces and its
 conversion.  Parsing, the defaults and ``dump_scenario`` all read them.
+
+CellExtent, the cell rectangle, is defined here rather than in coverage,
+so this module, like linkbudget and sinr, imports no numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
-from .coverage import CellExtent
 from .linkbudget import (
     FixedAngles,
     GeometricAngles,
@@ -41,6 +43,34 @@ class Objective(enum.Enum):
 
 class ConfigError(ValueError):
     """A scenario file failed to parse or validate."""
+
+
+@dataclass(frozen=True)
+class CellExtent:
+    """An axis-aligned rectangle on the ground plane, in meters."""
+
+    origin_x: float
+    origin_y: float
+    width: float
+    depth: float
+
+    def __post_init__(self) -> None:
+        for name in ("origin_x", "origin_y", "width", "depth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"CellExtent.{name} must be finite")
+        if not (self.width > 0 and self.depth > 0):
+            raise ValueError("extent width and depth must be positive")
+
+    def contains(self, other: "CellExtent") -> bool:
+        return (
+            other.origin_x >= self.origin_x
+            and other.origin_y >= self.origin_y
+            and other.origin_x + other.width <= self.origin_x + self.width
+            and other.origin_y + other.depth <= self.origin_y + self.depth
+        )
+
+    def center(self) -> tuple[float, float]:
+        return (self.origin_x + self.width / 2.0, self.origin_y + self.depth / 2.0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import numpy as np
 import pytest
 
+from irs_planner import cli
 from irs_planner.cli import build_parser, run
 
 # Small scenario so CLI runs stay fast: 11 x 11 grid points.
@@ -126,6 +128,47 @@ class TestRuntimeErrors:
         out = tmp_path / "out.csv"
         assert run(argv + ["--config", config_path, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {source}: coordinates must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["map-conv", "map-irs", "compare", "sweep"])
+    @pytest.mark.parametrize("resolution", ["5e-324", "1e-300"])
+    def test_too_fine_resolution_names_the_key(
+        self, command, resolution, config_path, candidates_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", config_path, "--resolution", resolution, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--candidates", candidates_path]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_resolution ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _one_block_then(exc):
+    """A stand-in for cli._map_blocks that yields one lattice row, then raises."""
+
+    def blocks(scenario, irs):
+        yield np.zeros(11)
+        raise exc
+
+    return blocks
+
+
+class TestFailedMapLeavesNoFile:
+    def test_value_error_exits_1(self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_map_blocks", _one_block_then(ValueError("broken block")))
+        out = tmp_path / "map.csv"
+        assert run(["map-conv", "--config", config_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: broken block\n"
+        assert not out.exists()
+
+    def test_uncaught_error_propagates(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_map_blocks", _one_block_then(RuntimeError("broken block")))
+        out = tmp_path / "map.csv"
+        out.write_text("an older map\n")
+        with pytest.raises(RuntimeError, match="broken block"):
+            run(["map-irs", "--config", config_path, "--out", str(out)])
         assert not out.exists()
 
 
