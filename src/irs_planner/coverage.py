@@ -114,16 +114,19 @@ class EdgeStats:
             raise ValueError("edge statistics must satisfy min <= mean <= max")
 
 
+def _check_steps(extent: CellExtent, step: float, name: str) -> None:
+    """ValueError naming `name` if a side of the extent holds more than sys.maxsize steps."""
+    # also rejects an infinite ratio, which no step count can hold
+    if not max(extent.width, extent.depth) / step <= sys.maxsize:
+        raise ValueError(f"{name} {step!r} leaves more than {sys.maxsize} steps along a side")
+
+
 def _check_resolution(extent: CellExtent, resolution: float) -> None:
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError("grid_resolution must be positive")
     if resolution > min(extent.width, extent.depth):
         raise ValueError("grid_resolution must not exceed the extent dimensions")
-    # also rejects an infinite ratio, which no step count can hold
-    if not max(extent.width, extent.depth) / resolution <= sys.maxsize:
-        raise ValueError(
-            f"grid_resolution {resolution!r} leaves more than {sys.maxsize} steps along a side"
-        )
+    _check_steps(extent, resolution, "grid_resolution")
 
 
 def _is_whole(ratio: float) -> bool:
@@ -228,18 +231,21 @@ class _Kernel:
         """Power-law power from one transmitter, zero on it, and the points on it.
 
         P * wl**2 / (d**alpha * 16 * pi**2), with d from (dx*dx + dy*dy) +
-        dz**2, in the order of linkbudget.conventional_rx_power.
+        dz*dz, in the order of linkbudget.conventional_rx_power.
         """
         d, dy, _, _, dead, _ = self._views(x.shape)
-        np.subtract(x, tx.x, out=d)
-        d *= d
-        np.subtract(y, tx.y, out=dy)
-        dy *= dy
-        d += dy
-        d += (self.scenario.user_height - tx.z) ** 2
-        np.sqrt(d, out=d)
-        np.equal(d, 0.0, out=dead)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        dz = self.scenario.user_height - tx.z
+        # a hop or a path loss that overflows is infinitely long or large, so
+        # it carries zero power; the points on the transmitter are masked below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.subtract(x, tx.x, out=d)
+            d *= d
+            np.subtract(y, tx.y, out=dy)
+            dy *= dy
+            d += dy
+            d += dz * dz
+            np.sqrt(d, out=d)
+            np.equal(d, 0.0, out=dead)
             d **= alpha  # the same fast paths as d ** alpha
             d *= 16.0
             d *= math.pi ** 2
@@ -273,67 +279,65 @@ class _Kernel:
         return total, dead
 
     def reflected(
-        self,
-        positions: Sequence[Position3D],
-        r1: Sequence[float],
-        x: np.ndarray,
-        y: np.ndarray,
-        start: int = 0,
+        self, positions: np.ndarray, x: np.ndarray, y: np.ndarray, start: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
         """Power served through the panel at each of K positions, shape (K, points).
 
-        `r1` holds each position's nonzero hop length from the base station.
-        The results, and every buffer this uses, begin at element `start`
-        of the kernel's buffers, so what lies before it is kept.
-        Per-position scalars such as (user_height - z) ** 2 stay Python
-        floats, because numpy's power can differ from Python's in the last
-        bit.  The hop is (dx*dx + dy*dy) + dz**2 and the power is
-        gain * cos_t * cos_r / ((r1 * r2)**2 * 64 * pi**3), left to right,
-        as in linkbudget.irs_rx_power.  Geometric-mode panels zero out points
-        behind the surface.  Also returns the mask of points on a panel.
+        `positions` is a (K, 3) array, none on the base station.  The
+        results, and every buffer this uses, begin at element `start` of
+        the kernel's buffers, so what lies before it is kept.  Both hops are
+        (dx*dx + dy*dy) + dz*dz and the power is gain * cos_t * cos_r /
+        ((r1 * r2) * (r1 * r2) * 64 * pi**3), left to right, as in
+        linkbudget.irs_rx_power, so the two agree bit for bit.  Geometric-
+        mode panels zero out points behind the surface.  Also returns the
+        mask of points on a panel.
         """
         shape = (len(positions), len(x))
         dx, dy, r2, denominator, dead, off = self._views(shape, start)
         panel = self.scenario.panel
         bs = self.scenario.micro_bs_position
-        dz = [self.scenario.user_height - p.z for p in positions]
-        np.subtract(x, np.array([p.x for p in positions])[:, None], out=dx)
-        np.subtract(y, np.array([p.y for p in positions])[:, None], out=dy)
-        np.multiply(dx, dx, out=r2)
-        np.multiply(dy, dy, out=denominator)
-        r2 += denominator
-        r2 += np.array([d ** 2 for d in dz])[:, None]
-        np.sqrt(r2, out=r2)
-        np.equal(r2, 0.0, out=dead)
         gain = _cascade_gain(self.scenario.micro_power_irs, panel, self.scenario.env.wavelength)
         mode = panel.angle_mode
-        if isinstance(mode, FixedAngles):
-            numerator: np.ndarray | float = gain * math.cos(mode.theta_t) * math.cos(mode.theta_r)
-        else:
-            # a base station behind the panel gets no reflected power anywhere
-            cos_t = np.array([
-                max(_incidence_cosine(mode.normal, bs.x - p.x, bs.y - p.y, bs.z - p.z, r), 0.0)
-                for p, r in zip(positions, r1)
-            ])[:, None]
-            n0, n1, n2 = mode.normal
-            cos_r = dx
-            with np.errstate(invalid="ignore", divide="ignore"):
+        px, py, pz = positions.T
+        dz = (self.scenario.user_height - pz)[:, None]
+        # a hop that overflows is infinitely long, so it carries zero power;
+        # a point on a panel divides by zero and is masked below, and NaN
+        # (an infinite gain times a zero cosine) gets the sentinel in sinr_db
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            bx, by, bz = bs.x - px, bs.y - py, bs.z - pz
+            r1 = np.sqrt(bx * bx + by * by + bz * bz)
+            np.subtract(x, px[:, None], out=dx)
+            np.subtract(y, py[:, None], out=dy)
+            np.multiply(dx, dx, out=r2)
+            np.multiply(dy, dy, out=denominator)
+            r2 += denominator
+            r2 += dz * dz
+            np.sqrt(r2, out=r2)
+            np.equal(r2, 0.0, out=dead)
+            if isinstance(mode, FixedAngles):
+                numerator: np.ndarray | float = (
+                    gain * math.cos(mode.theta_t) * math.cos(mode.theta_r)
+                )
+            else:
+                # a base station behind the panel gets no reflected power anywhere
+                cos_t = np.maximum(_incidence_cosine(mode.normal, bx, by, bz, r1), 0.0)[:, None]
+                n0, n1, n2 = mode.normal
+                cos_r = dx
                 cos_r *= n0
                 dy *= n1
                 cos_r += dy
-                cos_r += np.array(dz)[:, None] * n2
+                cos_r += dz * n2
                 cos_r /= r2
-            np.less(cos_r, 0.0, out=off)
-            off |= dead
-            np.copyto(cos_r, 0.0, where=off)
-            numerator = cos_r
-            numerator *= gain * cos_t  # (gain * cos_t) * cos_r
-        np.multiply(r2, np.array(r1)[:, None], out=denominator)
-        denominator *= denominator
-        denominator *= 64.0
-        denominator *= math.pi ** 3
-        signal = dx  # the numerator's buffer in geometric mode
-        with np.errstate(divide="ignore", invalid="ignore"):
+                np.less(cos_r, 0.0, out=off)
+                off |= dead
+                np.copyto(cos_r, 0.0, where=off)
+                numerator = cos_r
+                numerator *= gain * cos_t  # (gain * cos_t) * cos_r
+            np.multiply(r2, r1[:, None], out=denominator)
+            denominator *= denominator
+            denominator *= 64.0
+            denominator *= math.pi ** 3
+            signal = dx  # the numerator's buffer in geometric mode
             np.divide(numerator, denominator, out=signal)
         np.copyto(signal, 0.0, where=dead)
         return signal, dead
@@ -377,45 +381,41 @@ def _warn_dead(count: int, stacklevel: int) -> None:
         )
 
 
-def _panel_hop(scenario: Scenario, position: Position3D) -> float:
-    """Distance from the base station to one panel position; zero raises ValueError."""
-    r1 = distance(scenario.micro_bs_position, position)
-    if r1 == 0.0:
+def _panel_hop(scenario: Scenario, position: Position3D) -> None:
+    """ValueError if the hop from the base station to one panel position is zero."""
+    if distance(scenario.micro_bs_position, position) == 0.0:
         raise ValueError("panel position coincides with the base station")
-    return r1
 
 
-def _hops(scenario: Scenario, positions: Sequence[Position3D]) -> list[float]:
-    """Distance from the base station to each candidate; a zero raises ValueError naming it."""
-    r1 = [distance(scenario.micro_bs_position, p) for p in positions]
-    if 0.0 in r1:
-        k = r1.index(0.0)
-        p = positions[k]
-        raise ValueError(
-            f"candidate {k} (counting from 0) at ({p.x!r}, {p.y!r}, {p.z!r}) "
-            "coincides with the base station"
-        )
-    return r1
+def _hops(scenario: Scenario, positions: Sequence[Position3D]) -> None:
+    """ValueError naming the first candidate whose hop from the base station is zero."""
+    bs = scenario.micro_bs_position
+    for k, p in enumerate(positions):
+        if distance(bs, p) == 0.0:
+            raise ValueError(
+                f"candidate {k} (counting from 0) at ({p.x!r}, {p.y!r}, {p.z!r}) "
+                "coincides with the base station"
+            )
 
 
 def _sinr_batches(
     scenario: Scenario,
     direct: bool,
     positions: Sequence[Position3D],
-    r1: Sequence[float],
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     stacklevel: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """SINR in dB of each serving row over each block of points, batch by batch.
 
     The rows are direct service if `direct`, then the panel at each of
-    `positions`, whose nonzero hops from the base station are `r1`.  No
-    block in `blocks` is longer than the first.  Each batch yields its dB,
-    shape (rows, points), and a spare float buffer of that shape: views
-    that hold until the next batch.  `stacklevel` is _warn_dead's, counted
-    from here: 2 blames the loop over this generator.
+    `positions`, none on the base station.  No block in `blocks` is longer
+    than the first.  Each batch yields its dB, shape (rows, points), and a
+    spare float buffer of that shape: views that hold until the next batch.
+    `stacklevel` is _warn_dead's, counted from here: 2 blames the loop over
+    this generator.
     """
-    rows = direct + len(positions)
+    panels = np.array([(p.x, p.y, p.z) for p in positions], dtype=np.float64).reshape(-1, 3)
+    rows = direct + len(panels)
     kernel = None
     dead_count = 0
     for x, y in blocks:
@@ -428,8 +428,8 @@ def _sinr_batches(
             first, stop = max(start - direct, 0), start + batch - direct
             if lead:
                 kernel.direct(x, y)
-            if positions[first:stop]:
-                kernel.reflected(positions[first:stop], r1[first:stop], x, y, lead * len(x))
+            if first < min(stop, len(panels)):
+                kernel.reflected(panels[first:stop], x, y, lead * len(x))
             signal, _, spare, _, dead, _ = kernel._views((min(batch, rows - start), len(x)))
             db, count = kernel.sinr_db(signal, dead, floor, dead_i)
             dead_count += count
@@ -448,10 +448,11 @@ def _map_blocks(scenario: Scenario, irs: bool) -> Iterator[np.ndarray]:
     rows = max(1, _CHUNK_ELEMENTS // len(xs))
     blocks = (_lattice_rows(xs, ys[j0 : j0 + rows]) for j0 in range(0, len(ys), rows))
     positions = [scenario.panel.position] if irs else []
-    r1 = [_panel_hop(scenario, p) for p in positions]
+    if irs:
+        _panel_hop(scenario, scenario.panel.position)
     # the warning blames sinr_map_*'s caller or cli.run, past the copy below,
     # _as_map or _csv_rows, and sinr_map_* or cli._write_output
-    batches = _sinr_batches(scenario, not irs, positions, r1, blocks, stacklevel=5)
+    batches = _sinr_batches(scenario, not irs, positions, blocks, stacklevel=5)
     # a copy, because the kernel reuses its buffers for the next block
     return (db.reshape(-1).copy() for db, _ in batches)
 
@@ -586,19 +587,19 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
 
 
 def _edge_rows(
-    scenario: Scenario, direct: bool, positions: Sequence[Position3D], r1: Sequence[float]
+    scenario: Scenario, direct: bool, positions: Sequence[Position3D]
 ) -> list[EdgeStats]:
     """Cell-edge statistics of direct service if `direct`, then of each panel position.
 
-    `r1` holds each position's nonzero hop length from the base station.
-    The perimeter is one block of _sinr_batches, so memory stays bounded
-    however many positions there are.  The one warning per call blames
-    the caller of the public scorer that calls this.
+    No position lies on the base station.  The perimeter is one block of
+    _sinr_batches, so memory stays bounded however many positions there
+    are.  The one warning per call blames the caller of the public scorer
+    that calls this.
     """
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
     stats = []
     # past _sinr_batches and this lie the public scorer, then its caller
-    for db, spare in _sinr_batches(scenario, direct, positions, r1, [(x, y)], stacklevel=4):
+    for db, spare in _sinr_batches(scenario, direct, positions, [(x, y)], stacklevel=4):
         stats.extend(_summarize(db, spare))
     return stats
 
@@ -609,7 +610,7 @@ def edge_stats_direct(scenario: Scenario) -> EdgeStats:
     Equal to edge_stats(sinr_map_conventional(scenario), cell_edge_points(...))
     without computing the map.
     """
-    [stats] = _edge_rows(scenario, True, [], [])
+    [stats] = _edge_rows(scenario, True, [])
     return stats
 
 
@@ -625,7 +626,8 @@ def edge_stats_reflected(
     over all positions.  A position on the base station raises
     ValueError before any scoring.
     """
-    return _edge_rows(scenario, False, positions, _hops(scenario, positions))
+    _hops(scenario, positions)
+    return _edge_rows(scenario, False, positions)
 
 
 def format_value(value: float) -> str:

@@ -21,7 +21,8 @@ quantities appear only in the conversion helpers at the bottom.
 
 The scalar API below evaluates each equation on Python floats; the
 kernel in coverage evaluates the same expressions on numpy arrays, in
-place and in the same order.  The two agree to a few ulp.
+place and in the same order.  Both square by products, so they agree
+bit for bit but for D**alpha, which numpy and libm round apart by a few ulp.
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ class RadioEnvironment:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.carrier_frequency) and self.carrier_frequency > 0):
             raise ValueError("carrier_frequency must be positive and finite")
+        # both link budgets scale with wavelength**2, which must be a double
+        try:
+            square = self.wavelength ** 2
+        except OverflowError:  # Python's ** raises where a product gives inf
+            square = math.inf
+        if not 0.0 < square < math.inf:
+            raise ValueError(
+                f"carrier_frequency {self.carrier_frequency!r} gives a wavelength whose "
+                "square is not a positive finite double"
+            )
         if not (math.isfinite(self.noise_power) and self.noise_power > 0):
             raise ValueError("noise_power must be positive and finite")
         for name in ("pathloss_exponent_micro", "pathloss_exponent_macro"):
@@ -153,8 +164,9 @@ def wavelength(carrier_frequency: float) -> float:
 
 
 def distance(a: Position3D, b: Position3D) -> float:
-    """Euclidean separation of two points in meters."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    """Euclidean separation of two points in meters; inf if a square overflows."""
+    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> float:
@@ -164,9 +176,7 @@ def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> floa
     own attenuation exponent.  Raises ValueError on zero separation, where
     the power law is singular.
     """
-    tx, rx = link.transmitter, link.receiver
-    dx, dy = rx.x - tx.x, rx.y - tx.y
-    separation = math.sqrt(dx * dx + dy * dy + (rx.z - tx.z) ** 2)
+    separation = distance(link.transmitter, link.receiver)
     if separation == 0.0:
         raise ValueError("link separation is zero")
     wl = env.wavelength
@@ -254,7 +264,8 @@ def irs_rx_power(
     except BehindSurfaceError:
         return 0.0
     gain = _cascade_gain(transmit_power, panel, env.wavelength)
-    return gain * cos_t * cos_r / ((r1 * r2) ** 2 * 64.0 * math.pi ** 3)
+    hops = r1 * r2
+    return gain * cos_t * cos_r / (hops * hops * 64.0 * math.pi ** 3)
 
 
 def watts_to_dbm(power: float) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .coverage import (
     EdgeStats,
     _axis,
+    _check_steps,
     _edge_rows,
     _hops,
     _is_whole,
@@ -47,6 +48,7 @@ class GridSweep:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError("sweep step must be positive")
+        _check_steps(self.extent, self.step, "sweep step")
         if not math.isfinite(self.height):
             raise ValueError("sweep height must be finite")
 
@@ -131,7 +133,8 @@ def evaluate_placement(
 
     A position on the base station raises ValueError.
     """
-    [stats] = _edge_rows(scenario, False, [irs_position], [_panel_hop(scenario, irs_position)])
+    _panel_hop(scenario, irs_position)
+    [stats] = _edge_rows(scenario, False, [irs_position])
     return _result(irs_position, stats, objective)
 
 
@@ -149,7 +152,8 @@ def optimize_placement(
     center, then by (x, y, z).
     """
     candidates = enumerate_candidates(spec)
-    stats = _edge_rows(scenario, False, candidates, _hops(scenario, candidates))
+    _hops(scenario, candidates)
+    stats = _edge_rows(scenario, False, candidates)
     results = [_result(c, s, objective) for c, s in zip(candidates, stats)]
     cx, cy = scenario.micro_extent.center()
     center = Position3D(cx, cy, 0.0)
@@ -176,8 +180,8 @@ def compare_models(scenario: Scenario, irs_position: Position3D) -> ComparisonRe
     one pass that warns once about points on a transmitter, counting them
     over both models.  A position on the base station raises ValueError.
     """
-    r1 = _panel_hop(scenario, irs_position)
-    conventional_edge, irs_edge = _edge_rows(scenario, True, [irs_position], [r1])
+    _panel_hop(scenario, irs_position)
+    conventional_edge, irs_edge = _edge_rows(scenario, True, [irs_position])
     return ComparisonReport(
         conventional_power=scenario.micro_power_conventional,
         irs_power=scenario.micro_power_irs,

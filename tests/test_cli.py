@@ -145,6 +145,49 @@ class TestRuntimeErrors:
         assert not out.exists()
 
 
+COMMANDS = ["map-conv", "map-irs", "compare", "sweep"]
+
+
+def _argv(command, config, out, candidates):
+    argv = [command, "--config", config, "--out", out]
+    return argv + ["--candidates", candidates] if command == "sweep" else argv
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("frequency", ["1e300", "1e-320"])
+    def test_wavelength_square_outside_doubles_names_the_key(
+        self, frequency, command, candidates_path, tmp_path, capsys
+    ):
+        config = tmp_path / "far.conf"
+        config.write_text(f"carrier_frequency = {frequency}\n")
+        out = tmp_path / "out.csv"
+        assert run(_argv(command, str(config), str(out), candidates_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: carrier_frequency ") and err.count("\n") == 1
+        assert not out.exists()
+
+    # the first five square a coordinate difference past the largest double:
+    # that hop is infinitely long and carries no power; the last makes the
+    # cascade gain infinite, so points behind the panel give inf times zero
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "line",
+        ["macro_bs_z = 1e300", "irs_z = 1e200", "macro_bs_y = 1e300", "irs_x = 1e300",
+         "micro_bs_z = 1e300", "irs_element_len_x = 1e300\nirs_normal = 0.6,0,-0.8"],
+    )
+    def test_overflowing_values_run_without_nan(
+        self, line, command, candidates_path, tmp_path, capsys
+    ):
+        config = tmp_path / "far.conf"
+        config.write_text(f"{line}\ngrid_resolution = 10\n")
+        out = tmp_path / "out.csv"
+        assert run(_argv(command, str(config), str(out), candidates_path)) == 0
+        assert capsys.readouterr().err == ""
+        assert "nan" not in out.read_text()
+
+
 def _one_block_then(exc):
     """A stand-in for cli._map_blocks that yields one lattice row, then raises."""
 

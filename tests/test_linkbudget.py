@@ -62,6 +62,13 @@ class TestWavelength:
         env = RadioEnvironment(carrier_frequency=2.4e9)
         assert env.wavelength == 299792458.0 / 2.4e9
 
+    # wavelength**2 underflows to 0; the wavelength is inf; the square
+    # overflows, where Python's ** raises OverflowError
+    @pytest.mark.parametrize("frequency", [1e300, 1e-320, 3e-192])
+    def test_environment_rejects_a_wavelength_square_outside_doubles(self, frequency):
+        with pytest.raises(ValueError, match="^carrier_frequency "):
+            RadioEnvironment(carrier_frequency=frequency)
+
 
 class TestDistance:
     def test_zero(self):
@@ -86,6 +93,9 @@ class TestDistance:
     def test_rejects_non_finite_coordinates(self):
         with pytest.raises(ValueError):
             Position3D(math.nan, 0.0, 0.0)
+
+    def test_a_square_that_overflows_makes_an_infinite_hop(self):
+        assert distance(Position3D(0, 0, 0), Position3D(0, 1e200, 0)) == math.inf
 
 
 class TestConventionalRxPower:

@@ -56,6 +56,12 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError):
             GridSweep(CellExtent(0, 0, 10, 10), 0.0, 5.0)
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-300])
+    def test_too_fine_step_names_the_sweep_step(self, step):
+        # the map lattice's rule: no more than sys.maxsize steps along a side
+        with pytest.raises(ValueError, match="^sweep step .* steps along a side$"):
+            GridSweep(CellExtent(0, 0, 200, 200), step, 5.0)
+
 
 
 class TestSweepAxis:
