@@ -51,7 +51,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .linkbudget import FixedAngles, Position3D, _cascade_gain, _incidence_cosine, distance
+from .linkbudget import (
+    _PI_CUBED,
+    _PI_SQUARED,
+    FixedAngles,
+    Position3D,
+    _cascade_gain,
+    _incidence_cosine,
+    distance,
+)
 from .scenario import CellExtent, Scenario
 
 SENTINEL_DB = -math.inf
@@ -248,7 +256,7 @@ class _Kernel:
             np.equal(d, 0.0, out=dead)
             d **= alpha  # the same fast paths as d ** alpha
             d *= 16.0
-            d *= math.pi ** 2
+            d *= _PI_SQUARED
             np.divide(power * self.scenario.env.wavelength ** 2, d, out=d)
         np.copyto(d, 0.0, where=dead)
         return d, dead
@@ -336,7 +344,7 @@ class _Kernel:
             np.multiply(r2, r1[:, None], out=denominator)
             denominator *= denominator
             denominator *= 64.0
-            denominator *= math.pi ** 3
+            denominator *= _PI_CUBED
             signal = dx  # the numerator's buffer in geometric mode
             np.divide(numerator, denominator, out=signal)
         np.copyto(signal, 0.0, where=dead)

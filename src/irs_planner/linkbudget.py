@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact SI value
+_PI_SQUARED = math.pi ** 2  # of the direct power law
+_PI_CUBED = math.pi ** 3  # of the cascade
 
 
 class BehindSurfaceError(ValueError):
@@ -96,9 +98,10 @@ class ConventionalLink:
     pathloss_exponent: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.transmit_power) and self.transmit_power > 0):
+        # chained comparisons: NaN and +-inf fail them as they fail isfinite
+        if not 0.0 < self.transmit_power < math.inf:
             raise ValueError("transmit_power must be positive")
-        if not (math.isfinite(self.pathloss_exponent) and self.pathloss_exponent >= 2.0):
+        if not 2.0 <= self.pathloss_exponent < math.inf:
             raise ValueError("pathloss_exponent must be at least 2")
         if distance(self.transmitter, self.receiver) == 0.0:
             raise ValueError("transmitter and receiver must not coincide")
@@ -169,6 +172,11 @@ def distance(a: Position3D, b: Position3D) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def _power_law(power: float, separation: float, alpha: float, wl: float) -> float:
+    """P * wl**2 / (D**alpha * 16 * pi**2) for a non-zero separation D."""
+    return power * wl ** 2 / (separation ** alpha * 16.0 * _PI_SQUARED)
+
+
 def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> float:
     """Received power in watts over a direct link.
 
@@ -179,10 +187,7 @@ def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> floa
     separation = distance(link.transmitter, link.receiver)
     if separation == 0.0:
         raise ValueError("link separation is zero")
-    wl = env.wavelength
-    return link.transmit_power * wl ** 2 / (
-        separation ** link.pathloss_exponent * 16.0 * math.pi ** 2
-    )
+    return _power_law(link.transmit_power, separation, link.pathloss_exponent, env.wavelength)
 
 
 def element_scatter_gain(element_len_x: float, element_len_y: float, wl: float) -> float:
@@ -198,15 +203,16 @@ def _incidence_cosine(normal, dx, dy, dz, length):
     return (dx * n0 + dy * n1 + dz * n2) / length
 
 
-def _cosines(transmitter, panel, receiver, d_t, d_r) -> tuple[float, float]:
-    """cos(theta_t) and cos(theta_r), or BehindSurfaceError in geometric mode."""
-    if isinstance(panel.angle_mode, FixedAngles):
-        return math.cos(panel.angle_mode.theta_t), math.cos(panel.angle_mode.theta_r)
-    n, p = panel.angle_mode.normal, panel.position
+def _cosines(transmitter, panel, receiver, d_t, d_r) -> tuple[float, float] | None:
+    """cos(theta_t) and cos(theta_r); None for an endpoint behind a geometric panel."""
+    mode = panel.angle_mode
+    if isinstance(mode, FixedAngles):
+        return math.cos(mode.theta_t), math.cos(mode.theta_r)
+    n, p = mode.normal, panel.position
     cos_t = _incidence_cosine(n, transmitter.x - p.x, transmitter.y - p.y, transmitter.z - p.z, d_t)
     cos_r = _incidence_cosine(n, receiver.x - p.x, receiver.y - p.y, receiver.z - p.z, d_r)
     if cos_t < 0.0 or cos_r < 0.0:
-        raise BehindSurfaceError("endpoint lies behind the panel surface")
+        return None
     return cos_t, cos_r
 
 
@@ -228,7 +234,10 @@ def incidence_angles(
     mode = panel.angle_mode
     if isinstance(mode, FixedAngles):
         return mode.theta_t, mode.theta_r
-    cos_t, cos_r = _cosines(transmitter, panel, receiver, d_t, d_r)
+    cosines = _cosines(transmitter, panel, receiver, d_t, d_r)
+    if cosines is None:
+        raise BehindSurfaceError("endpoint lies behind the panel surface")
+    cos_t, cos_r = cosines
     return math.acos(min(cos_t, 1.0)), math.acos(min(cos_r, 1.0))
 
 
@@ -253,19 +262,19 @@ def irs_rx_power(
     returned power is the reflected path alone.  An endpoint behind a
     geometric-mode panel yields 0.0 rather than an error.
     """
-    if not (math.isfinite(transmit_power) and transmit_power > 0):
+    if not 0.0 < transmit_power < math.inf:
         raise ValueError("transmit_power must be positive")
     r1 = distance(transmitter, panel.position)
     r2 = distance(panel.position, receiver)
     if r1 == 0.0 or r2 == 0.0:
         raise ValueError("cascade hop distances must be positive")
-    try:
-        cos_t, cos_r = _cosines(transmitter, panel, receiver, r1, r2)
-    except BehindSurfaceError:
+    cosines = _cosines(transmitter, panel, receiver, r1, r2)
+    if cosines is None:
         return 0.0
+    cos_t, cos_r = cosines
     gain = _cascade_gain(transmit_power, panel, env.wavelength)
     hops = r1 * r2
-    return gain * cos_t * cos_r / (hops * hops * 64.0 * math.pi ** 3)
+    return gain * cos_t * cos_r / (hops * hops * 64.0 * _PI_CUBED)
 
 
 def watts_to_dbm(power: float) -> float:

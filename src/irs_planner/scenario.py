@@ -29,6 +29,7 @@ from .linkbudget import (
     IrsPanel,
     Position3D,
     RadioEnvironment,
+    _cascade_gain,
     db_to_linear,
 )
 from .sinr import InterferenceSource
@@ -104,6 +105,18 @@ class Scenario:
             raise ValueError("grid_resolution must be positive")
         if not math.isfinite(self.user_height):
             raise ValueError("user_height must be finite")
+        # G_sc is a factor of the cascade gain, so an infinite G_sc makes
+        # the gain inf or NaN; a gain of 0 only silences the panel
+        try:
+            gain = _cascade_gain(self.micro_power_irs, self.panel, self.env.wavelength)
+        except OverflowError:  # element counts whose squares pass the largest double
+            gain = math.inf
+        if not math.isfinite(gain):
+            raise ValueError(
+                "micro_power_irs, carrier_frequency, irs_elements_m, irs_elements_n, "
+                "irs_element_len_x, irs_element_len_y, irs_reflection_coefficient, "
+                "irs_gain_tx and irs_gain_rx give a cascade gain that is not a finite double"
+            )
 
     def interference_sources(self) -> list[InterferenceSource]:
         """Sources heard inside the micro cell; the macro station by default."""

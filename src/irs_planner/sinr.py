@@ -12,13 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linkbudget import (
-    ConventionalLink,
-    Position3D,
-    RadioEnvironment,
-    conventional_rx_power,
-    distance,
-)
+from .linkbudget import Position3D, RadioEnvironment, _power_law, distance
 
 
 @dataclass(frozen=True)
@@ -59,40 +53,35 @@ def interference_power(
     exactly one.  A source coincident with the user is a domain error.
     """
     contributions = []
+    wl = env.wavelength
     for source in sources:
-        if distance(user, source.position) == 0.0:
+        separation = distance(user, source.position)
+        if separation == 0.0:
             raise ValueError("user position coincides with an interference source")
         if source.transmit_power == 0.0:
             continue
-        link = ConventionalLink(
-            transmit_power=source.transmit_power,
-            transmitter=source.position,
-            receiver=user,
-            pathloss_exponent=source.pathloss_exponent,
+        # conventional_rx_power's power law; InterferenceSource has already
+        # checked what a ConventionalLink would
+        contributions.append(
+            _power_law(source.transmit_power, separation, source.pathloss_exponent, wl)
         )
-        contributions.append(conventional_rx_power(link, env))
     return math.fsum(contributions)
 
 
 def sinr(signal_power: float, interference: float, noise_power: float) -> SinrSample:
     """Form a SINR sample from linear powers in watts.
 
-    Signal and interference must be non-negative and noise strictly
-    positive, which keeps the ratio finite.  sinr_db is the dB image of
+    Signal and interference must be finite and non-negative and noise
+    finite and positive, which keeps the ratio finite.  sinr_db is the dB image of
     sinr_linear, with zero signal mapped to -inf.
     """
-    if not (math.isfinite(signal_power) and signal_power >= 0):
-        raise ValueError("signal_power must be non-negative")
-    if not (math.isfinite(interference) and interference >= 0):
-        raise ValueError("interference power must be non-negative")
-    if not (math.isfinite(noise_power) and noise_power > 0):
-        raise ValueError("noise_power must be positive")
+    # chained comparisons: NaN and +-inf fail them as they fail isfinite
+    if not 0.0 <= signal_power < math.inf:
+        raise ValueError("signal_power must be finite and non-negative")
+    if not 0.0 <= interference < math.inf:
+        raise ValueError("interference power must be finite and non-negative")
+    if not 0.0 < noise_power < math.inf:
+        raise ValueError("noise_power must be finite and positive")
     linear = signal_power / (interference + noise_power)
     db = 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
-    return SinrSample(
-        signal_power=signal_power,
-        interference_power=interference,
-        noise_power=noise_power,
-        sinr_linear=linear,
-        sinr_db=db,
-    )
+    return SinrSample(signal_power, interference, noise_power, linear, db)

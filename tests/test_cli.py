@@ -167,15 +167,14 @@ class TestExtremeValues:
         assert err.startswith("error: carrier_frequency ") and err.count("\n") == 1
         assert not out.exists()
 
-    # the first five square a coordinate difference past the largest double:
-    # that hop is infinitely long and carries no power; the last makes the
-    # cascade gain infinite, so points behind the panel give inf times zero
+    # each squares a coordinate difference past the largest double: that
+    # hop is infinitely long and carries no power
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
         "line",
         ["macro_bs_z = 1e300", "irs_z = 1e200", "macro_bs_y = 1e300", "irs_x = 1e300",
-         "micro_bs_z = 1e300", "irs_element_len_x = 1e300\nirs_normal = 0.6,0,-0.8"],
+         "micro_bs_z = 1e300"],
     )
     def test_overflowing_values_run_without_nan(
         self, line, command, candidates_path, tmp_path, capsys
@@ -186,6 +185,28 @@ class TestExtremeValues:
         assert run(_argv(command, str(config), str(out), candidates_path)) == 0
         assert capsys.readouterr().err == ""
         assert "nan" not in out.read_text()
+
+    # a cascade gain past the largest double would write +inf at every
+    # served point; element counts whose squares are too large for a double
+    # would end in an OverflowError
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "line",
+        [pytest.param("irs_elements_m = 1" + "0" * 160, id="elements_m"),
+         pytest.param("irs_element_len_x = 1e300\nirs_normal = 0.6,0,-0.8", id="element_len_x"),
+         pytest.param("irs_gain_tx = 1e300\nirs_gain_rx = 1e300", id="gains")],
+    )
+    def test_infinite_cascade_gain_exits_1(
+        self, line, command, candidates_path, tmp_path, capsys
+    ):
+        config = tmp_path / "gain.conf"
+        config.write_text(f"{line}\ngrid_resolution = 10\n")
+        out = tmp_path / "out.csv"
+        assert run(_argv(command, str(config), str(out), candidates_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "irs_elements_m" in err and "irs_gain_rx" in err and "cascade gain" in err
+        assert not out.exists()
 
 
 def _one_block_then(exc):

@@ -249,6 +249,25 @@ class TestIrsRxPower:
         got = irs_rx_power(1.0, panel, Position3D(50, 0, 10), Position3D(20, 0, 1), ENV_130GHZ)
         assert got == 0.0
 
+    def test_zero_power_exactly_where_incidence_angles_raises(self):
+        rng = np.random.default_rng(61)
+        panel = table1_panel(
+            position=Position3D(0, 0, 8), angle_mode=GeometricAngles((0.6, 0.0, -0.8))
+        )
+        behind = 0
+        for _ in range(400):
+            tx = Position3D(*rng.uniform(-50, 50, 3))
+            rx = Position3D(*rng.uniform(-50, 50, 3))
+            power = irs_rx_power(1.0, panel, tx, rx, ENV_130GHZ)
+            try:
+                incidence_angles(tx, panel, rx)
+            except BehindSurfaceError:
+                behind += 1
+                assert power == 0.0
+            else:
+                assert power > 0.0
+        assert 0 < behind < 400
+
     def test_coincident_hop_rejected(self):
         panel = table1_panel(position=Position3D(5, 5, 5))
         with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from irs_planner import (
+    ConventionalLink,
     InterferenceSource,
     Position3D,
     RadioEnvironment,
+    conventional_rx_power,
     interference_power,
     sinr,
 )
@@ -89,6 +91,22 @@ class TestInterferencePower:
             ref = hp_conventional_rx_power(power, 130e9, d, alpha)
             assert rel_error(got, ref) < 1e-12
 
+    def test_equals_conventional_rx_power_bit_for_bit(self):
+        rng = np.random.default_rng(59)
+        for trial in range(400):
+            user = Position3D(*rng.uniform(-200, 200, 3).tolist())
+            position = Position3D(*rng.uniform(-1000, 1000, 3).tolist())
+            if trial % 8 == 3:  # a hop whose square overflows
+                position = Position3D(1e200, position.y, position.z)
+            power = 0.0 if trial % 10 == 0 else float(10.0 ** rng.uniform(-2, 2))
+            source = InterferenceSource(power, position, float(rng.uniform(2, 5)))
+            got = interference_power(user, [source], ENV)
+            if power == 0.0:  # a silent source, which no ConventionalLink carries
+                assert got == 0.0
+                continue
+            link = ConventionalLink(power, position, user, source.pathloss_exponent)
+            assert got.hex() == conventional_rx_power(link, ENV).hex()
+
     def test_source_validation(self):
         with pytest.raises(ValueError):
             InterferenceSource(-1.0, ORIGIN, 4.0)
@@ -129,10 +147,11 @@ class TestSinr:
     @pytest.mark.parametrize(
         "signal,interference,noise",
         [(-1e-12, 0.0, 1e-12), (1e-12, -1e-13, 1e-12), (1e-12, 0.0, 0.0),
-         (1e-12, 0.0, -1e-12), (math.inf, 0.0, 1e-12)],
+         (1e-12, 0.0, -1e-12), (math.inf, 0.0, 1e-12), (math.nan, 0.0, 1e-12),
+         (1e-12, math.nan, 1e-12), (1e-12, 0.0, math.nan)],
     )
     def test_domain_errors(self, signal, interference, noise):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite and"):
             sinr(signal, interference, noise)
 
     def test_monotone_in_signal(self):
