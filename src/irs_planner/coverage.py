@@ -56,8 +56,8 @@ from .linkbudget import (
     _PI_SQUARED,
     FixedAngles,
     Position3D,
-    _cascade_gain,
     _incidence_cosine,
+    _panel_gain,
     distance,
 )
 from .scenario import CellExtent, Scenario
@@ -304,7 +304,7 @@ class _Kernel:
         dx, dy, r2, denominator, dead, off = self._views(shape, start)
         panel = self.scenario.panel
         bs = self.scenario.micro_bs_position
-        gain = _cascade_gain(self.scenario.micro_power_irs, panel, self.scenario.env.wavelength)
+        gain = _panel_gain(self.scenario.micro_power_irs, panel, self.scenario.env.wavelength)
         mode = panel.angle_mode
         px, py, pz = positions.T
         dz = (self.scenario.user_height - pz)[:, None]

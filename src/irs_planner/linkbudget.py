@@ -39,7 +39,19 @@ class BehindSurfaceError(ValueError):
     """An endpoint lies behind the reflecting panel (normal dot product < 0)."""
 
 
-@dataclass(frozen=True)
+# Position3D, ConventionalLink and sinr.SinrSample have a written __init__
+# with the checks of the generated one, which calls object.__setattr__ per
+# field and costs more than the checks.  eq, hash, repr, fields(),
+# frozenness and replace() stay as generated.  ConventionalLink and
+# SinrSample, built per call and read once, fill self.__dict__, the
+# quickest build.  Position3D is read far more than built (six reads a
+# hop) and stores through object.__setattr__ bound once: touching
+# __dict__ gives the instance a real dict, which makes every later
+# attribute read about twice as slow in CPython 3.11.
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Position3D:
     """A point in meters in the shared scenario frame."""
 
@@ -47,10 +59,16 @@ class Position3D:
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"Position3D.{name} must be finite")
+    def __init__(self, x: float, y: float, z: float) -> None:
+        if not math.isfinite(x):
+            raise ValueError("Position3D.x must be finite")
+        if not math.isfinite(y):
+            raise ValueError("Position3D.y must be finite")
+        if not math.isfinite(z):
+            raise ValueError("Position3D.z must be finite")
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "z", z)
 
 
 @dataclass(frozen=True)
@@ -88,23 +106,40 @@ class RadioEnvironment:
         return SPEED_OF_LIGHT / self.carrier_frequency
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConventionalLink:
-    """A direct transmitter-to-receiver link evaluated with the power law."""
+    """A direct transmitter-to-receiver link evaluated with the power law.
+
+    The separation the constructor checks is kept as `_separation`, not a
+    field, for conventional_rx_power.
+    """
 
     transmit_power: float  # W
     transmitter: Position3D
     receiver: Position3D
     pathloss_exponent: float
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        transmit_power: float,
+        transmitter: Position3D,
+        receiver: Position3D,
+        pathloss_exponent: float,
+    ) -> None:
         # chained comparisons: NaN and +-inf fail them as they fail isfinite
-        if not 0.0 < self.transmit_power < math.inf:
+        if not 0.0 < transmit_power < math.inf:
             raise ValueError("transmit_power must be positive")
-        if not 2.0 <= self.pathloss_exponent < math.inf:
+        if not 2.0 <= pathloss_exponent < math.inf:
             raise ValueError("pathloss_exponent must be at least 2")
-        if distance(self.transmitter, self.receiver) == 0.0:
+        separation = distance(transmitter, receiver)
+        if separation == 0.0:
             raise ValueError("transmitter and receiver must not coincide")
+        state = self.__dict__
+        state["transmit_power"] = transmit_power
+        state["transmitter"] = transmitter
+        state["receiver"] = receiver
+        state["pathloss_exponent"] = pathloss_exponent
+        state["_separation"] = separation
 
 
 @dataclass(frozen=True)
@@ -181,13 +216,12 @@ def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> floa
     """Received power in watts over a direct link.
 
     Evaluates P_tx * wavelength**2 / (D**alpha * 16 * pi**2) with the link's
-    own attenuation exponent.  Raises ValueError on zero separation, where
-    the power law is singular.
+    own attenuation exponent, on the separation the link kept.  The link
+    rejects zero separation, where the power law is singular.
     """
-    separation = distance(link.transmitter, link.receiver)
-    if separation == 0.0:
-        raise ValueError("link separation is zero")
-    return _power_law(link.transmit_power, separation, link.pathloss_exponent, env.wavelength)
+    return _power_law(
+        link.transmit_power, link._separation, link.pathloss_exponent, env.wavelength
+    )
 
 
 def element_scatter_gain(element_len_x: float, element_len_y: float, wl: float) -> float:
@@ -249,6 +283,24 @@ def _cascade_gain(power, panel: IrsPanel, wl: float) -> float:
             * panel.elements_m ** 2 * panel.elements_n ** 2)
 
 
+def _panel_gain(power, panel: IrsPanel, wl: float) -> float:
+    """_cascade_gain(power, panel, wl), memoized on the panel as `_gain`.
+
+    The gain depends on nothing else, and the panel is frozen.  The key
+    holds type(power) because a power equal to a float but of another
+    type, such as np.float64, gives a gain of its own type.  One entry per
+    panel keeps the memo bounded; a replace()d panel starts without one,
+    and a gain that raises stores nothing.
+    """
+    key = (type(power), power, wl)
+    memo = getattr(panel, "_gain", None)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    gain = _cascade_gain(power, panel, wl)
+    _setattr(panel, "_gain", (key, gain))
+    return gain
+
+
 def irs_rx_power(
     transmit_power: float,
     panel: IrsPanel,
@@ -272,7 +324,7 @@ def irs_rx_power(
     if cosines is None:
         return 0.0
     cos_t, cos_r = cosines
-    gain = _cascade_gain(transmit_power, panel, env.wavelength)
+    gain = _panel_gain(transmit_power, panel, env.wavelength)
     hops = r1 * r2
     return gain * cos_t * cos_r / (hops * hops * 64.0 * _PI_CUBED)
 

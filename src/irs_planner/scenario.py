@@ -29,7 +29,7 @@ from .linkbudget import (
     IrsPanel,
     Position3D,
     RadioEnvironment,
-    _cascade_gain,
+    _panel_gain,
     db_to_linear,
 )
 from .sinr import InterferenceSource
@@ -108,7 +108,7 @@ class Scenario:
         # G_sc is a factor of the cascade gain, so an infinite G_sc makes
         # the gain inf or NaN; a gain of 0 only silences the panel
         try:
-            gain = _cascade_gain(self.micro_power_irs, self.panel, self.env.wavelength)
+            gain = _panel_gain(self.micro_power_irs, self.panel, self.env.wavelength)
         except OverflowError:  # element counts whose squares pass the largest double
             gain = math.inf
         if not math.isfinite(gain):

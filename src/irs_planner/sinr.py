@@ -30,7 +30,7 @@ class InterferenceSource:
             raise ValueError("pathloss_exponent must be at least 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SinrSample:
     """One SINR evaluation with its linear inputs kept for inspection."""
 
@@ -39,6 +39,23 @@ class SinrSample:
     noise_power: float  # W
     sinr_linear: float
     sinr_db: float  # -inf when the signal is zero
+
+    # written as linkbudget.ConventionalLink's is (see the note above
+    # Position3D): the generated __init__ took most of a sinr call
+    def __init__(
+        self,
+        signal_power: float,
+        interference_power: float,
+        noise_power: float,
+        sinr_linear: float,
+        sinr_db: float,
+    ) -> None:
+        state = self.__dict__
+        state["signal_power"] = signal_power
+        state["interference_power"] = interference_power
+        state["noise_power"] = noise_power
+        state["sinr_linear"] = sinr_linear
+        state["sinr_db"] = sinr_db
 
 
 def interference_power(

@@ -5,9 +5,11 @@ candidates text, so a change that moves any output byte fails here.  The
 masked ones run a tilted geometric-mode panel, which leaves points
 behind it, with the macro station on a lattice corner, which puts the
 -inf sentinel on the edge of every map and ranking.  The hashes
-were pinned on x86-64 with AVX-512F and numpy 2.4.6.  numpy's vectorized
-`power` takes a different code path on other CPUs and rounds some inputs
-differently from libm's pow, so another host may need its own pins.
+were pinned on x86-64 with AVX-512F and numpy 2.4.6, where numpy's
+vectorized `log10` and `power` run AVX-512 loops that round some inputs
+differently from libm's log10 and pow.  A host whose numpy calls libm
+for them writes the other family's bytes, which
+`tests/test_dispatch_family.py` pins.
 """
 
 import hashlib

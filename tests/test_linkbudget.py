@@ -1,6 +1,9 @@
 """Unit tests for the direct and cascaded link budget relations."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,9 +22,11 @@ from irs_planner import (
     element_scatter_gain,
     incidence_angles,
     irs_rx_power,
+    parse_scenario,
     watts_to_dbm,
     wavelength,
 )
+from irs_planner import linkbudget
 from oracles import hp_conventional_rx_power, rel_error
 
 ENV_130GHZ = RadioEnvironment(carrier_frequency=130e9)
@@ -362,3 +367,172 @@ class TestScalingProperties:
             near = ConventionalLink(1.0, Position3D(0, 0, 0), Position3D(float(d1), 0, 0), alpha)
             far = ConventionalLink(1.0, Position3D(0, 0, 0), Position3D(float(d2), 0, 0), alpha)
             assert conventional_rx_power(near, ENV_130GHZ) > conventional_rx_power(far, ENV_130GHZ)
+
+
+# Each record with positional arguments, and what its generated methods
+# must show for them, written out by hand.
+RECORDS = {
+    "Position3D": (
+        Position3D,
+        (1.0, 2.5, -3.0),
+        "Position3D(x=1.0, y=2.5, z=-3.0)",
+        {"x": 1.0, "y": 2.5, "z": -3.0},
+    ),
+    "ConventionalLink": (
+        ConventionalLink,
+        (10.0, Position3D(0.0, 0.0, 0.0), Position3D(3.0, 4.0, 0.0), 3.0),
+        "ConventionalLink(transmit_power=10.0, transmitter=Position3D(x=0.0, y=0.0, z=0.0), "
+        "receiver=Position3D(x=3.0, y=4.0, z=0.0), pathloss_exponent=3.0)",
+        {
+            "transmit_power": 10.0,
+            "transmitter": {"x": 0.0, "y": 0.0, "z": 0.0},
+            "receiver": {"x": 3.0, "y": 4.0, "z": 0.0},
+            "pathloss_exponent": 3.0,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecordContract:
+    """The written constructors keep the generated dataclass contract."""
+
+    def test_positional_and_keyword_construction(self, name):
+        cls, args, _, expected = RECORDS[name]
+        record = cls(*args)
+        assert cls(**dict(zip(expected, args))) == record
+        for field, arg in zip(expected, args):
+            assert getattr(record, field) is arg
+
+    def test_missing_or_extra_argument_raises_type_error(self, name):
+        cls, args, _, expected = RECORDS[name]
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
+        with pytest.raises(TypeError):
+            cls(*args, 1.0)
+        with pytest.raises(TypeError):
+            cls(**dict(zip(expected, args)), _separation=5.0)
+
+    def test_eq_and_hash(self, name):
+        cls, args, _, _ = RECORDS[name]
+        assert cls(*args) == cls(*args)
+        assert hash(cls(*args)) == hash(cls(*args))
+        assert cls(*args) != cls(*args[:-1], 7.0)
+
+    def test_repr_fields_and_asdict(self, name):
+        cls, args, text, expected = RECORDS[name]
+        record = cls(*args)
+        assert repr(record) == text
+        assert [f.name for f in dataclasses.fields(record)] == list(expected)
+        assert dataclasses.asdict(record) == expected
+
+    def test_frozen(self, name):
+        cls, args, _, expected = RECORDS[name]
+        record = cls(*args)
+        for field in expected:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field)
+
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy])
+    def test_pickle_and_deepcopy_round_trip(self, name, clone):
+        cls, args, text, _ = RECORDS[name]
+        record = cls(*args)
+        copied = clone(record)
+        assert copied == record and repr(copied) == text
+
+
+class TestRecordReplace:
+    def test_replace_checks_the_link(self):
+        link = ConventionalLink(1.0, Position3D(0, 0, 0), Position3D(3, 4, 0), 2.0)
+        with pytest.raises(ValueError, match="^transmitter and receiver must not coincide$"):
+            dataclasses.replace(link, receiver=link.transmitter)
+
+    def test_replace_checks_the_position(self):
+        p = Position3D(1.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="^Position3D.x must be finite$"):
+            dataclasses.replace(p, x=math.nan)
+        for field in ("y", "z"):
+            with pytest.raises(ValueError, match=f"^Position3D.{field} must be finite$"):
+                dataclasses.replace(p, **{field: math.inf})
+
+    def test_copies_of_a_link_keep_their_own_separation(self):
+        link = ConventionalLink(1.0, Position3D(0, 0, 0), Position3D(3, 4, 0), 2.0)
+        moved = dataclasses.replace(link, receiver=Position3D(6, 8, 0))
+        fresh = ConventionalLink(1.0, Position3D(0, 0, 0), Position3D(6, 8, 0), 2.0)
+        assert conventional_rx_power(moved, ENV_130GHZ) == conventional_rx_power(fresh, ENV_130GHZ)
+        for copied in (pickle.loads(pickle.dumps(link)), copy.deepcopy(link)):
+            assert conventional_rx_power(copied, ENV_130GHZ).hex() == (
+                conventional_rx_power(link, ENV_130GHZ).hex()
+            )
+
+
+class TestCascadeGainMemo:
+    """A memoized gain gives what a fresh panel computes: the same bits and type."""
+
+    TX = Position3D(0.0, 0.0, 0.0)
+    RX = Position3D(200.0, 30.0, 1.5)
+
+    def assert_uncached(self, power, panel, env=ENV_130GHZ):
+        got = irs_rx_power(power, panel, self.TX, self.RX, env)
+        want = irs_rx_power(power, dataclasses.replace(panel), self.TX, self.RX, env)
+        assert type(got) is type(want)
+        assert float(got).hex() == float(want).hex()
+
+    def test_a_different_power(self):
+        panel = table1_panel()
+        for power in (1.0, 2.5, 1.0, 1e-3):
+            self.assert_uncached(power, panel)
+
+    def test_a_different_wavelength(self):
+        # wl**2 cancels against G_sc, so the gain moves only in its last
+        # bits; at 2.4 and 5.8 GHz they differ from 130 GHz's
+        panel = table1_panel()
+        for frequency in (130e9, 2.4e9, 5.8e9, 130e9):
+            self.assert_uncached(1.0, panel, RadioEnvironment(carrier_frequency=frequency))
+
+    def test_an_int_power_then_the_equal_float(self):
+        panel = table1_panel()
+        for power in (2, 2.0, 2):
+            self.assert_uncached(power, panel)
+
+    def test_a_numpy_power(self):
+        panel = table1_panel()
+        for power in (1.0, np.float64(1.0), 1.0):
+            self.assert_uncached(power, panel)
+        assert type(irs_rx_power(np.float64(1.0), panel, self.TX, self.RX, ENV_130GHZ)) is (
+            np.float64
+        )
+
+    def test_a_replaced_panel(self):
+        panel = table1_panel()
+        self.assert_uncached(1.0, panel)
+        self.assert_uncached(1.0, dataclasses.replace(panel, gain_tx=3.0))
+        self.assert_uncached(1.0, dataclasses.replace(panel, elements_m=64))
+
+    def test_an_overflowing_gain_stores_nothing(self, monkeypatch):
+        panel = dataclasses.replace(table1_panel(), elements_m=10**200)
+        cascade_gain = linkbudget._cascade_gain
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cascade_gain(*args)
+
+        monkeypatch.setattr(linkbudget, "_cascade_gain", counted)
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                irs_rx_power(1.0, panel, self.TX, self.RX, ENV_130GHZ)
+        assert len(calls) == 2
+
+    def test_a_scenario_leaves_its_gain_memoized(self, monkeypatch):
+        scenario = parse_scenario("micro_power_irs = 2.5\n")
+
+        def uncalled(*args):
+            raise AssertionError("the scenario's gain was not memoized")
+
+        want = irs_rx_power(2.5, dataclasses.replace(scenario.panel), self.TX, self.RX, scenario.env)
+        monkeypatch.setattr(linkbudget, "_cascade_gain", uncalled)
+        got = irs_rx_power(2.5, scenario.panel, self.TX, self.RX, scenario.env)
+        assert got.hex() == want.hex()

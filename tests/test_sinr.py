@@ -1,6 +1,9 @@
 """Unit tests for interference aggregation and SINR samples."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from irs_planner import (
     InterferenceSource,
     Position3D,
     RadioEnvironment,
+    SinrSample,
     conventional_rx_power,
     interference_power,
     sinr,
@@ -185,3 +189,52 @@ class TestSinr:
             base = sinr(s, i, n).sinr_linear
             scaled = sinr(k * s, k * i, k * n).sinr_linear
             assert scaled == pytest.approx(base, rel=1e-12)
+
+
+class TestSinrSampleContract:
+    """The written constructor keeps the generated dataclass contract."""
+
+    ARGS = (1.0, 0.25, 0.25, 2.0, 3.0102999566398121)
+    FIELDS = ("signal_power", "interference_power", "noise_power", "sinr_linear", "sinr_db")
+    REPR = (
+        "SinrSample(signal_power=1.0, interference_power=0.25, noise_power=0.25, "
+        "sinr_linear=2.0, sinr_db=3.010299956639812)"
+    )
+
+    def test_positional_and_keyword_construction(self):
+        sample = SinrSample(*self.ARGS)
+        assert SinrSample(**dict(zip(self.FIELDS, self.ARGS))) == sample
+        for field, arg in zip(self.FIELDS, self.ARGS):
+            assert getattr(sample, field) is arg
+        assert sinr(1.0, 0.25, 0.25) == sample
+
+    def test_missing_or_extra_argument_raises_type_error(self):
+        with pytest.raises(TypeError):
+            SinrSample(*self.ARGS[:-1])
+        with pytest.raises(TypeError):
+            SinrSample(*self.ARGS, 0.0)
+        with pytest.raises(TypeError):
+            SinrSample(**dict(zip(self.FIELDS, self.ARGS)), sinr=2.0)
+
+    def test_eq_and_hash(self):
+        assert SinrSample(*self.ARGS) == SinrSample(*self.ARGS)
+        assert hash(SinrSample(*self.ARGS)) == hash(SinrSample(*self.ARGS))
+        assert SinrSample(*self.ARGS) != SinrSample(*self.ARGS[:-1], 3.0)
+
+    def test_repr_fields_and_asdict(self):
+        sample = SinrSample(*self.ARGS)
+        assert repr(sample) == self.REPR
+        assert tuple(f.name for f in dataclasses.fields(sample)) == self.FIELDS
+        assert dataclasses.asdict(sample) == dict(zip(self.FIELDS, self.ARGS))
+
+    def test_frozen(self):
+        sample = SinrSample(*self.ARGS)
+        for field in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sample, field, 0.0)
+
+    @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+    def test_pickle_and_deepcopy_round_trip(self, clone):
+        sample = SinrSample(*self.ARGS)
+        copied = clone(sample)
+        assert copied == sample and repr(copied) == self.REPR
