@@ -213,35 +213,36 @@ class _Kernel:
     """Signal and SINR in dB over batches of points, in buffers made once.
 
     _sinr_batches makes one kernel per call and passes every batch
-    through it.  Each ufunc writes with out= into the kernel's buffers, of
-    `size` elements, so a batch allocates no array of its own size; a
-    result is a view of a buffer and holds until the next call on the
-    same kernel.  Each value is linkbudget's expression evaluated
-    elementwise in the same order, so it does not depend on the batch or
-    the buffer size.
+    through it.  Each ufunc writes with out= into row slices of named
+    (rows, points) buffers, so a batch allocates no array of its own size:
+    the signal, then its dB; two scratch blocks; a spare block, free for
+    _summarize once a batch is scored; the dead and off masks; and one row
+    each for the block's floor and its points on a source.  A result holds
+    until the next call that writes its rows.  Each value is linkbudget's
+    expression evaluated elementwise in the same order, so it does not
+    depend on the batch or the buffer size.
     """
 
-    def __init__(self, scenario: Scenario, size: int) -> None:
+    def __init__(self, scenario: Scenario, rows: int, points: int) -> None:
         self.scenario = scenario
-        self._real = np.empty((4, size))
-        self._mask = np.empty((2, size), dtype=bool)
-
-    def _views(self, shape: tuple[int, ...], start: int = 0) -> tuple[np.ndarray, ...]:
-        """Four float buffers, then two bool buffers, as views of `shape` from `start`."""
-        stop = start + math.prod(shape)
-        return tuple(
-            b[start:stop].reshape(shape) for buffers in (self._real, self._mask) for b in buffers
-        )
+        self.signal = np.empty((rows, points))
+        self.scratch = np.empty((2, rows, points))
+        self.spare = np.empty((rows, points))
+        self.dead = np.empty((rows, points), dtype=bool)
+        self.off = np.empty((rows, points), dtype=bool)
+        self.floor_power = np.empty(points)
+        self.floor_dead = np.empty(points, dtype=bool)
 
     def power_law(
-        self, x: np.ndarray, y: np.ndarray, tx: Position3D, power: float, alpha: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Power-law power from one transmitter, zero on it, and the points on it.
+        self, x: np.ndarray, y: np.ndarray, tx: Position3D, power: float, alpha: float,
+        out: np.ndarray, dead: np.ndarray
+    ) -> None:
+        """Power from one transmitter into `out`, zero on it, and the points on it into `dead`.
 
         P * wl**2 / (d**alpha * 16 * pi**2), with d from (dx*dx + dy*dy) +
         dz*dz, in the order of linkbudget.conventional_rx_power.
         """
-        d, dy, _, _, dead, _ = self._views(x.shape)
+        d, dy = out, self.scratch[0, 0, : len(x)]
         dz = self.scenario.user_height - tx.z
         # a hop or a path loss that overflows is infinitely long or large, so
         # it carries zero power; the points on the transmitter are masked below
@@ -259,49 +260,39 @@ class _Kernel:
             d *= _PI_SQUARED
             np.divide(power * self.scenario.env.wavelength ** 2, d, out=d)
         np.copyto(d, 0.0, where=dead)
-        return d, dead
 
-    def direct(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Power served directly by the base station, and the points on it."""
-        s = self.scenario
-        alpha = s.env.pathloss_exponent_micro
-        return self.power_law(x, y, s.micro_bs_position, s.micro_power_conventional, alpha)
+    def floor(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Interference plus noise into floor_power, and the points on a source into floor_dead.
 
-    def interference(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interference power per point and a mask of points on a source, as new arrays."""
-        total = np.zeros_like(x)
-        dead = np.zeros(x.shape, dtype=bool)
+        A silent source adds +0.0 (NaN on it is masked to 0): no bit moves.
+        """
+        n = len(x)
+        total, on_source = self.floor_power[:n], self.floor_dead[:n]
+        power, dead = self.signal[0, :n], self.dead[0, :n]
+        total.fill(0.0)
+        on_source.fill(False)
         for s in self.scenario.interference_sources():
-            power, on_source = self.power_law(
-                x, y, s.position, s.transmit_power, s.pathloss_exponent
-            )
-            dead |= on_source
-            if s.transmit_power != 0.0:
-                total += power
-        return total, dead
-
-    def floor(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interference plus noise power per point, and the points on a source."""
-        total, dead = self.interference(x, y)
+            self.power_law(x, y, s.position, s.transmit_power, s.pathloss_exponent, power, dead)
+            total += power
+            on_source |= dead
         total += self.scenario.env.noise_power
-        return total, dead
 
     def reflected(
-        self, positions: np.ndarray, x: np.ndarray, y: np.ndarray, start: int = 0
+        self, positions: np.ndarray, x: np.ndarray, y: np.ndarray, first: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Power served through the panel at each of K positions, shape (K, points).
+        """Power served through the panel at each of K positions, into signal rows from `first`.
 
-        `positions` is a (K, 3) array, none on the base station.  The
-        results, and every buffer this uses, begin at element `start` of
-        the kernel's buffers, so what lies before it is kept.  Both hops are
-        (dx*dx + dy*dy) + dz*dz and the power is gain * cos_t * cos_r /
-        ((r1 * r2) * (r1 * r2) * 64 * pi**3), left to right, as in
-        linkbudget.irs_rx_power, so the two agree bit for bit.  Geometric-
-        mode panels zero out points behind the surface.  Also returns the
-        mask of points on a panel.
+        `positions` is a (K, 3) array, none on the base station.  Only rows
+        from `first` on are written.  Both hops are (dx*dx + dy*dy) + dz*dz
+        and the power is gain * cos_t * cos_r / ((r1 * r2) * (r1 * r2) * 64
+        * pi**3), left to right, as in linkbudget.irs_rx_power, so the two
+        agree bit for bit.  Geometric-mode panels zero out points behind the
+        surface.  Returns the signal rows and their points on a panel.
         """
-        shape = (len(positions), len(x))
-        dx, dy, r2, denominator, dead, off = self._views(shape, start)
+        rows, n = slice(first, first + len(positions)), len(x)
+        dx, r2 = self.signal[rows, :n], self.spare[rows, :n]
+        dy, denominator = self.scratch[:, rows, :n]
+        dead, off = self.dead[rows, :n], self.off[rows, :n]
         panel = self.scenario.panel
         bs = self.scenario.micro_bs_position
         gain = _panel_gain(self.scenario.micro_power_irs, panel, self.scenario.env.wavelength)
@@ -350,29 +341,28 @@ class _Kernel:
         np.copyto(signal, 0.0, where=dead)
         return signal, dead
 
-    def sinr_db(
-        self, signal: np.ndarray, dead: np.ndarray, floor: np.ndarray, dead_i: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """SINR in dB in place of `signal`, and the number of dead points.
+    def sinr_db(self, rows: int, points: int) -> int:
+        """SINR in dB in place of the first `rows` signal rows; returns the dead points.
 
-        `floor` is interference plus noise.  The sentinel goes where the
-        signal is zero and where `dead` or `dead_i` holds.  `dead` is
+        The floor is the block's, from floor.  The sentinel goes where the
+        signal is zero and where dead or floor_dead holds.  dead is
         overwritten.
         """
-        off = self._views(signal.shape)[5]  # the second mask buffer
-        dead |= dead_i
+        linear = self.signal[:rows, :points]
+        dead, off = self.dead[:rows, :points], self.off[:rows, :points]
+        dead |= self.floor_dead[:points]
         # a noise power near the bottom of the double range overflows the
         # linear SINR to +inf, which becomes +inf dB on purpose
         with np.errstate(divide="ignore", over="ignore"):
-            linear = np.divide(signal, floor, out=signal)
+            np.divide(linear, self.floor_power[:points], out=linear)
             np.greater(linear, 0.0, out=off)
             np.logical_not(off, out=off)
             off |= dead
             np.copyto(linear, 1.0, where=off)
-            db = np.log10(linear, out=linear)
-            db *= 10.0
-        np.copyto(db, SENTINEL_DB, where=off)
-        return db, int(np.count_nonzero(dead))
+            np.log10(linear, out=linear)
+            linear *= 10.0
+        np.copyto(linear, SENTINEL_DB, where=off)
+        return int(np.count_nonzero(dead))
 
 
 def _warn_dead(count: int, stacklevel: int) -> None:
@@ -424,24 +414,26 @@ def _sinr_batches(
     """
     panels = np.array([(p.x, p.y, p.z) for p in positions], dtype=np.float64).reshape(-1, 3)
     rows = direct + len(panels)
+    bs, power = scenario.micro_bs_position, scenario.micro_power_conventional
+    alpha = scenario.env.pathloss_exponent_micro
     kernel = None
     dead_count = 0
     for x, y in blocks:
+        n = len(x)
         if kernel is None:  # sized by the first block, the longest
-            batch = max(1, min(rows, _CHUNK_ELEMENTS // len(x)))
-            kernel = _Kernel(scenario, batch * len(x))
-        floor, dead_i = kernel.floor(x, y)
+            batch = max(1, min(rows, _CHUNK_ELEMENTS // n))
+            kernel = _Kernel(scenario, batch, n)
+        kernel.floor(x, y)
         for start in range(0, rows, batch):
-            lead = direct and start == 0
-            first, stop = max(start - direct, 0), start + batch - direct
+            k = min(batch, rows - start)
+            lead = int(direct and start == 0)  # direct service is row 0 of the first batch
             if lead:
-                kernel.direct(x, y)
-            if first < min(stop, len(panels)):
-                kernel.reflected(panels[first:stop], x, y, lead * len(x))
-            signal, _, spare, _, dead, _ = kernel._views((min(batch, rows - start), len(x)))
-            db, count = kernel.sinr_db(signal, dead, floor, dead_i)
-            dead_count += count
-            yield db, spare
+                kernel.power_law(x, y, bs, power, alpha, kernel.signal[0, :n], kernel.dead[0, :n])
+            served = panels[max(start - direct, 0) : start + k - direct]
+            if len(served):
+                kernel.reflected(served, x, y, lead)
+            dead_count += kernel.sinr_db(k, n)
+            yield kernel.signal[:k, :n], kernel.spare[:k, :n]
     _warn_dead(dead_count, stacklevel)
 
 
@@ -449,8 +441,9 @@ def _map_blocks(scenario: Scenario, irs: bool) -> Iterator[np.ndarray]:
     """SINR in dB over the map lattice, one flat block of whole rows at a time.
 
     With `irs` the signal is the cascaded path through the panel only,
-    otherwise the direct path.  The scenario is checked before this
-    returns, so a malformed one raises before any block is asked for.
+    otherwise the direct path.  A block is a view that the next one
+    overwrites.  The scenario is checked before this returns, so a
+    malformed one raises before any block is asked for.
     """
     xs, ys = _grid_axes(scenario.micro_extent, scenario.grid_resolution)
     rows = max(1, _CHUNK_ELEMENTS // len(xs))
@@ -458,19 +451,20 @@ def _map_blocks(scenario: Scenario, irs: bool) -> Iterator[np.ndarray]:
     positions = [scenario.panel.position] if irs else []
     if irs:
         _panel_hop(scenario, scenario.panel.position)
-    # the warning blames sinr_map_*'s caller or cli.run, past the copy below,
-    # _as_map or _csv_rows, and sinr_map_* or cli._write_output
+    # the warning blames sinr_map_*'s caller or cli.run, past the generator
+    # below, _as_map or _csv_rows, and sinr_map_* or cli._write_output
     batches = _sinr_batches(scenario, not irs, positions, blocks, stacklevel=5)
-    # a copy, because the kernel reuses its buffers for the next block
-    return (db.reshape(-1).copy() for db, _ in batches)
+    return (db[0] for db, _ in batches)
 
 
 def _as_map(scenario: Scenario, blocks: Iterator[np.ndarray]) -> SinrMap:
+    # each block is copied before the next overwrites it; map() puts no
+    # Python frame between _sinr_batches and the caller the warning blames
     return SinrMap(
         extent=scenario.micro_extent,
         resolution=scenario.grid_resolution,
         user_height=scenario.user_height,
-        values=np.concatenate(list(blocks)),
+        values=np.concatenate(list(map(np.copy, blocks))),
     )
 
 
@@ -599,11 +593,12 @@ def _edge_rows(
 ) -> list[EdgeStats]:
     """Cell-edge statistics of direct service if `direct`, then of each panel position.
 
-    No position lies on the base station.  The perimeter is one block of
-    _sinr_batches, so memory stays bounded however many positions there
-    are.  The one warning per call blames the caller of the public scorer
-    that calls this.
+    A position on the base station raises ValueError (_hops) before any
+    scoring.  The perimeter is one block of _sinr_batches, so memory stays
+    bounded however many positions there are.  The one warning per call
+    blames the caller of the public scorer that calls this.
     """
+    _hops(scenario, positions)
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
     stats = []
     # past _sinr_batches and this lie the public scorer, then its caller
@@ -634,7 +629,6 @@ def edge_stats_reflected(
     over all positions.  A position on the base station raises
     ValueError before any scoring.
     """
-    _hops(scenario, positions)
     return _edge_rows(scenario, False, positions)
 
 

@@ -17,7 +17,6 @@ from .coverage import (
     _axis,
     _check_steps,
     _edge_rows,
-    _hops,
     _is_whole,
     _panel_hop,
 )
@@ -152,7 +151,6 @@ def optimize_placement(
     center, then by (x, y, z).
     """
     candidates = enumerate_candidates(spec)
-    _hops(scenario, candidates)
     stats = _edge_rows(scenario, False, candidates)
     results = [_result(c, s, objective) for c, s in zip(candidates, stats)]
     cx, cy = scenario.micro_extent.center()

@@ -1,7 +1,7 @@
 """The SINR kernel against the 50-digit oracle, the scalar API and its own past.
 
-coverage's array kernel (`_Kernel.power_law`, `.direct`,
-`.interference`, `.floor`, `.reflected` and `.sinr_db`, which
+coverage's array kernel (`_Kernel.power_law`, `.floor`, `.reflected` and
+`.sinr_db`, which write into the kernel's named buffers and which
 `coverage._sinr_batches` drives for every map and scorer) and the scalar
 API in linkbudget and sinr evaluate the same equations, in the same
 order.  The kernel is checked here factor by factor against the mpmath
@@ -115,6 +115,13 @@ def _triple(p):
     return (p.x, p.y, p.z)
 
 
+def _power_law(scenario, x, y, tx, power, alpha):
+    """The kernel's power from one transmitter over x, y, and the points on it."""
+    kernel = coverage._Kernel(scenario, 1, x.size)
+    kernel.power_law(x, y, tx, power, alpha, kernel.signal[0], kernel.dead[0])
+    return kernel.signal[0], kernel.dead[0]
+
+
 def _hp_reflected(scenario, position, user):
     panel = scenario.panel
     mode = panel.angle_mode
@@ -145,26 +152,27 @@ def test_kernels_match_extended_precision_oracle(seed, mode):
     bs = _triple(scenario.micro_bs_position)
 
     # a kernel per call: each result is a view of its kernel's buffers
-    direct, dead = coverage._Kernel(scenario, x.size).direct(x, y)
-    assert not dead.any()
     power, alpha = scenario.micro_power_conventional, scenario.env.pathloss_exponent_micro
+    direct, dead = _power_law(scenario, x, y, scenario.micro_bs_position, power, alpha)
+    assert not dead.any()
     f = scenario.env.carrier_frequency
     for got, user in zip(direct.tolist(), users):
         ref = hp_conventional_rx_power(power, f, hp_distance(bs, user), alpha)
         assert rel_error(got, ref) <= 1e-10
 
-    interference, dead = coverage._Kernel(scenario, x.size).interference(x, y)
-    assert not dead.any()
+    kernel = coverage._Kernel(scenario, 1, x.size)
+    kernel.floor(x, y)
+    assert not kernel.floor_dead.any()
     [source] = scenario.interference_sources()
-    for got, user in zip(interference.tolist(), users):
+    for got, user in zip(kernel.floor_power.tolist(), users):
         separation = hp_distance(_triple(source.position), user)
         ref = hp_conventional_rx_power(
             source.transmit_power, f, separation, source.pathloss_exponent
         )
-        assert rel_error(got, ref) <= 1e-10
+        assert rel_error(got, ref + scenario.env.noise_power) <= 1e-10
 
     positions = [scenario.panel.position, _position(rng, 9.0, 15.0), _position(rng, 9.0, 15.0)]
-    kernel = coverage._Kernel(scenario, len(positions) * x.size)
+    kernel = coverage._Kernel(scenario, len(positions), x.size)
     reflected, dead = kernel.reflected(np.array([_triple(p) for p in positions]), x, y)
     assert reflected.shape == (3, len(users)) and not dead.any()
     served = 0
@@ -215,11 +223,16 @@ def test_scalar_api_agrees_with_kernels_on_full_lattices(mode):
         bs = scenario.micro_bs_position
         panel_position = scenario.panel.position
         x, y = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
-        direct, _ = coverage._Kernel(scenario, x.size).direct(x, y)
-        interference, _ = coverage._Kernel(scenario, x.size).interference(x, y)
-        kernel = coverage._Kernel(scenario, x.size)
-        [reflected], _ = kernel.reflected(np.array([_triple(panel_position)]), x, y)
+        direct, _ = _power_law(
+            scenario, x, y, bs, scenario.micro_power_conventional, env.pathloss_exponent_micro
+        )
         sources = scenario.interference_sources()
+        [source] = sources
+        interference, _ = _power_law(
+            scenario, x, y, source.position, source.transmit_power, source.pathloss_exponent
+        )
+        kernel = coverage._Kernel(scenario, 1, x.size)
+        [reflected], _ = kernel.reflected(np.array([_triple(panel_position)]), x, y)
         for k, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
             user = Position3D(px, py, scenario.user_height)
             link = ConventionalLink(
