@@ -1,7 +1,7 @@
 """Command-line front end: coverage maps, placement sweeps, comparisons.
 
 Exit status is 0 on success, 1 on a runtime failure (bad config, bad
-candidate file, I/O), and 2 on a usage error.  Output files are written
+candidate file, I/O, too little memory), and 2 on a usage error.  Output files are written
 with fixed formatting and ordering so identical invocations produce
 byte-identical bytes.  Maps are computed in bounded blocks of lattice
 rows and written in bounded sub-blocks of rows, so a fine map needs no
@@ -196,6 +196,9 @@ def run(argv: list[str] | None = None) -> int:
         _write_output(chunks, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation; Python's is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

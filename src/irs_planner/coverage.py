@@ -13,11 +13,12 @@ it, so they agree to the bit.  A ratio that falls
 within a few ulp below an integer counts as that integer, so 0.3 / 0.1
 (2.9999999999999996 in floats) gives 4 columns and the last column lies
 on the far boundary, within one ulp, instead of a step inside it.  A
-resolution that leaves more than sys.maxsize steps along a side is a
-ValueError naming grid_resolution.  Values are SINR in dB with -inf as the zero-signal sentinel; grid points
-that coincide with a transmitter get the sentinel and one warning per
-map rather than raising, so one degenerate point cannot abort a whole
-map.
+resolution that leaves more than sys.maxsize steps along a side, or more
+than sys.maxsize lattice points, is a ValueError naming grid_resolution,
+raised before anything is allocated.  Values are SINR in dB with -inf as
+the zero-signal sentinel; grid points that coincide with a transmitter
+get the sentinel and one warning per map rather than raising, so one
+degenerate point cannot abort a whole map.
 
 Every SINR value comes from one loop, _sinr_batches.  Per block of
 points it computes interference plus noise once, scores the serving
@@ -123,10 +124,17 @@ class EdgeStats:
 
 
 def _check_steps(extent: CellExtent, step: float, name: str) -> None:
-    """ValueError naming `name` if a side of the extent holds more than sys.maxsize steps."""
+    """ValueError naming `name` if the lattice of `step` over the extent is too large.
+
+    That is more than sys.maxsize steps along a side, or more than
+    sys.maxsize points, and it is found from the extent alone, before any
+    array is made.
+    """
     # also rejects an infinite ratio, which no step count can hold
     if not max(extent.width, extent.depth) / step <= sys.maxsize:
         raise ValueError(f"{name} {step!r} leaves more than {sys.maxsize} steps along a side")
+    if (_steps(extent.width, step) + 1) * (_steps(extent.depth, step) + 1) > sys.maxsize:
+        raise ValueError(f"{name} {step!r} leaves more than {sys.maxsize} lattice points")
 
 
 def _check_resolution(extent: CellExtent, resolution: float) -> None:

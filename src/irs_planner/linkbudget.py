@@ -208,8 +208,16 @@ def distance(a: Position3D, b: Position3D) -> float:
 
 
 def _power_law(power: float, separation: float, alpha: float, wl: float) -> float:
-    """P * wl**2 / (D**alpha * 16 * pi**2) for a non-zero separation D."""
-    return power * wl ** 2 / (separation ** alpha * 16.0 * _PI_SQUARED)
+    """P * wl**2 / (D**alpha * 16 * pi**2) for a non-zero separation D.
+
+    A D**alpha beyond the largest double is an infinite path loss, so the
+    power is 0.0, as in the maps, where Python's ** raises OverflowError.
+    """
+    try:
+        loss = separation ** alpha
+    except OverflowError:
+        return 0.0
+    return power * wl ** 2 / (loss * 16.0 * _PI_SQUARED)
 
 
 def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> float:

@@ -131,7 +131,7 @@ class TestRuntimeErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["map-conv", "map-irs", "compare", "sweep"])
-    @pytest.mark.parametrize("resolution", ["5e-324", "1e-300"])
+    @pytest.mark.parametrize("resolution", ["5e-324", "1e-300", "1e-12", "1e-16"])
     def test_too_fine_resolution_names_the_key(
         self, command, resolution, config_path, candidates_path, tmp_path, capsys
     ):
@@ -225,6 +225,23 @@ class TestFailedMapLeavesNoFile:
         out = tmp_path / "map.csv"
         assert run(["map-conv", "--config", config_path, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: broken block\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 14.9 GiB"), "Unable to allocate 14.9 GiB"),
+            (MemoryError(), "out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_exits_1(
+        self, exc, message, config_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "_map_blocks", _one_block_then(exc))
+        out = tmp_path / "map.csv"
+        assert run(["map-irs", "--config", config_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_uncaught_error_propagates(self, config_path, tmp_path, monkeypatch):

@@ -91,9 +91,10 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(CellExtent(0, 0, 200, 200), bad, 1.5)
 
-    @pytest.mark.parametrize("fine", [5e-324, 1e-300, 200 / 2.0**63])
+    @pytest.mark.parametrize("fine", [5e-324, 1e-300, 200 / 2.0**63, 1e-12, 1e-16])
     def test_step_count_beyond_maxsize_names_the_key(self, fine):
-        # 200 / 2**63 steps exactly 2**63 times, one more than sys.maxsize
+        # 200 / 2**63 steps exactly 2**63 times, one more than sys.maxsize;
+        # 1e-12 and 1e-16 leave fewer steps per side but more lattice points
         with pytest.raises(ValueError, match="^grid_resolution "):
             build_grid(CellExtent(0, 0, 200, 200), fine, 1.5)
 

@@ -18,6 +18,7 @@ from irs_planner import (
     RadioEnvironment,
     conventional_rx_power,
     db_to_linear,
+    default_scenario,
     distance,
     element_scatter_gain,
     incidence_angles,
@@ -26,7 +27,7 @@ from irs_planner import (
     watts_to_dbm,
     wavelength,
 )
-from irs_planner import linkbudget
+from irs_planner import coverage, linkbudget
 from oracles import hp_conventional_rx_power, rel_error
 
 ENV_130GHZ = RadioEnvironment(carrier_frequency=130e9)
@@ -131,6 +132,30 @@ class TestConventionalRxPower:
             ConventionalLink(0.0, Position3D(0, 0, 0), Position3D(1, 0, 0), 2.0)
         with pytest.raises(ValueError):
             ConventionalLink(1.0, Position3D(0, 0, 0), Position3D(1, 0, 0), 1.5)
+
+    @pytest.mark.parametrize(
+        "x, alpha", [(1e120, 3.0), (1e120, 4.0), (1e80, 4.0), (1e200, 3.0)]
+    )
+    def test_far_link_carries_zero_power_as_the_maps_do(self, x, alpha):
+        # D ** alpha overflows (Python's ** raised OverflowError), or the
+        # square already does (1e200); the kernel gives 0.0 at every point
+        scenario = dataclasses.replace(
+            default_scenario(),
+            micro_bs_position=Position3D(x, 0.0, 5.0),
+            env=dataclasses.replace(default_scenario().env, pathloss_exponent_micro=alpha),
+            grid_resolution=50.0,
+        )
+        px, py = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+        kernel = coverage._Kernel(scenario, 1, px.size)
+        power, dead = kernel.signal[0], kernel.dead[0]
+        bs = scenario.micro_bs_position
+        kernel.power_law(px, py, bs, scenario.micro_power_conventional, alpha, power, dead)
+        for k, (ux, uy) in enumerate(zip(px.tolist(), py.tolist())):
+            user = Position3D(ux, uy, scenario.user_height)
+            link = ConventionalLink(scenario.micro_power_conventional, bs, user, alpha)
+            got = conventional_rx_power(link, scenario.env)
+            assert got.hex() == float(power[k]).hex() == (0.0).hex()
+        assert (coverage.sinr_map_conventional(scenario).values == -math.inf).all()
 
     def test_randomized_against_oracle(self):
         rng = np.random.default_rng(11)

@@ -15,9 +15,11 @@ from irs_planner import (
     RadioEnvironment,
     SinrSample,
     conventional_rx_power,
+    default_scenario,
     interference_power,
     sinr,
 )
+from irs_planner import coverage
 from oracles import hp_conventional_rx_power, rel_error
 
 ENV = RadioEnvironment(carrier_frequency=130e9)
@@ -78,6 +80,29 @@ class TestInterferencePower:
     def test_zero_power_source_contributes_nothing(self):
         silent = InterferenceSource(0.0, Position3D(10, 0, 0), 4.0)
         assert interference_power(ORIGIN, [silent], ENV) == 0.0
+
+    @pytest.mark.parametrize("x", [1e120, 1e80, 1e200])
+    def test_far_source_carries_zero_power_as_the_maps_do(self, x):
+        # the default macro station's alpha is 4, so D ** 4 overflows from
+        # about 3.7e77 m (Python's ** raised OverflowError), and the square
+        # from 1.3e154 m; the kernel gives 0.0 at every point
+        scenario = default_scenario()
+        scenario = dataclasses.replace(
+            scenario,
+            macro_bs=dataclasses.replace(scenario.macro_bs, position=Position3D(x, 0.0, 10.0)),
+            grid_resolution=50.0,
+        )
+        [source] = scenario.interference_sources()
+        px, py = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+        kernel = coverage._Kernel(scenario, 1, px.size)
+        power, dead = kernel.signal[0], kernel.dead[0]
+        kernel.power_law(
+            px, py, source.position, source.transmit_power, source.pathloss_exponent, power, dead
+        )
+        for k, (ux, uy) in enumerate(zip(px.tolist(), py.tolist())):
+            user = Position3D(ux, uy, scenario.user_height)
+            got = interference_power(user, [source], scenario.env)
+            assert got.hex() == float(power[k]).hex() == (0.0).hex()
 
     def test_coincident_source_rejected(self):
         source = InterferenceSource(1.0, ORIGIN, 4.0)
