@@ -1,15 +1,15 @@
 """Command-line front end: coverage maps, placement sweeps, comparisons.
 
 Exit status is 0 on success, 1 on a runtime failure (bad config, bad
-candidate file, I/O, too little memory), and 2 on a usage error.  Output files are written
-with fixed formatting and ordering so identical invocations produce
-byte-identical bytes.  Maps are computed in bounded blocks of lattice
-rows and written in bounded sub-blocks of rows, so a fine map needs no
-more memory than a coarse one; the scenario is checked before the
-output is opened, and a map that fails while it is written removes the
-regular file it opened, so a map that fails creates no file.  The argument
-parser is built once per process, on the first call of run, and reused:
-parsing keeps no state between calls.
+candidate file, I/O, too little memory), and 2 on a usage error.  Output
+files are written with fixed formatting and ordering so identical
+invocations produce byte-identical bytes.  Maps are computed in bounded
+blocks of lattice rows and written in bounded sub-blocks of rows, so a
+fine map needs no more memory than a coarse one; the scenario is checked
+before the output is opened, and a map that fails while it is written
+removes the regular file it opened, so a map that fails creates no file.
+The argument parser is built once per process, on the first call of run,
+and reused: parsing keeps no state between calls.
 """
 
 from __future__ import annotations
