@@ -224,12 +224,13 @@ class _Kernel:
     _sinr_batches makes one kernel per call and passes every batch
     through it.  Each ufunc writes with out= into row slices of named
     (rows, points) buffers, so a batch allocates no array of its own size:
-    the signal, then its dB; two scratch blocks; a spare block, free for
-    _summarize once a batch is scored; the dead and off masks; and one row
-    each for the block's floor and its points on a source.  A result holds
-    until the next call that writes its rows.  Each value is linkbudget's
-    expression evaluated elementwise in the same order, so it does not
-    depend on the batch or the buffer size.
+    the signal, then its dB; two scratch blocks; a spare block, which holds
+    reflected's second hops and is free for _summarize once a batch is
+    scored; the dead and off masks; and one row each for the block's floor
+    and its points on a source.  A result holds until the next call that
+    writes its rows.  Each value is linkbudget's expression evaluated
+    elementwise in the same order, so it does not depend on the batch or
+    the buffer size.
     """
 
     def __init__(self, scenario: Scenario, rows: int, points: int) -> None:
