@@ -194,10 +194,8 @@ def run(argv: list[str] | None = None) -> int:
         else:
             chunks = [_comparison_csv(compare_models(scenario, scenario.panel.position))]
         _write_output(chunks, args.out)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # numpy's names the allocation; Python's is empty
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; of these only Python's is empty
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0

@@ -228,7 +228,8 @@ class _Kernel:
     reflected's second hops and is free for _summarize once a batch is
     scored; the dead and off masks; and one row each for the block's floor
     and its points on a source.  A result holds until the next call that
-    writes its rows.  Each value is linkbudget's expression evaluated
+    writes its rows; floor works in signal row 0 and dead row 0, so it
+    comes before a batch's rows.  Each value is linkbudget's expression evaluated
     elementwise in the same order, so it does not depend on the batch or
     the buffer size.
     """
@@ -275,6 +276,8 @@ class _Kernel:
     def floor(self, x: np.ndarray, y: np.ndarray) -> None:
         """Interference plus noise into floor_power, and the points on a source into floor_dead.
 
+        Each source's power is worked out in signal row 0 and dead row 0,
+        which this overwrites, so it runs before a batch writes its rows.
         A silent source adds +0.0 (NaN on it is masked to 0): no bit moves.
         """
         n = len(x)
@@ -290,7 +293,7 @@ class _Kernel:
 
     def reflected(
         self, positions: np.ndarray, x: np.ndarray, y: np.ndarray, first: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> None:
         """Power served through the panel at each of K positions, into signal rows from `first`.
 
         `positions` is a (K, 3) array, none on the base station.  Only rows
@@ -298,7 +301,7 @@ class _Kernel:
         and the power is gain * cos_t * cos_r / ((r1 * r2) * (r1 * r2) * 64
         * pi**3), left to right, as in linkbudget.irs_rx_power, so the two
         agree bit for bit.  Geometric-mode panels zero out points behind the
-        surface.  Returns the signal rows and their points on a panel.
+        surface.  The points on a panel go into the same rows of dead.
         """
         rows, n = slice(first, first + len(positions)), len(x)
         dx, r2 = self.signal[rows, :n], self.spare[rows, :n]
@@ -350,7 +353,6 @@ class _Kernel:
             signal = dx  # the numerator's buffer in geometric mode
             np.divide(numerator, denominator, out=signal)
         np.copyto(signal, 0.0, where=dead)
-        return signal, dead
 
     def sinr_db(self, rows: int, points: int) -> int:
         """SINR in dB in place of the first `rows` signal rows; returns the dead points.

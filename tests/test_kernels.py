@@ -160,20 +160,27 @@ def test_kernels_match_extended_precision_oracle(seed, mode):
         ref = hp_conventional_rx_power(power, f, hp_distance(bs, user), alpha)
         assert rel_error(got, ref) <= 1e-10
 
-    kernel = coverage._Kernel(scenario, 1, x.size)
-    kernel.floor(x, y)
-    assert not kernel.floor_dead.any()
     [source] = scenario.interference_sources()
-    for got, user in zip(kernel.floor_power.tolist(), users):
+    interference, dead = _power_law(
+        scenario, x, y, source.position, source.transmit_power, source.pathloss_exponent
+    )
+    assert not dead.any()
+    for got, user in zip(interference.tolist(), users):
         separation = hp_distance(_triple(source.position), user)
         ref = hp_conventional_rx_power(
             source.transmit_power, f, separation, source.pathloss_exponent
         )
-        assert rel_error(got, ref + scenario.env.noise_power) <= 1e-10
+        assert rel_error(got, ref) <= 1e-10
+    # the floor is the one source's power plus the noise, bit for bit
+    kernel = coverage._Kernel(scenario, 1, x.size)
+    kernel.floor(x, y)
+    assert not kernel.floor_dead.any()
+    assert np.array_equal(kernel.floor_power, interference + scenario.env.noise_power)
 
     positions = [scenario.panel.position, _position(rng, 9.0, 15.0), _position(rng, 9.0, 15.0)]
     kernel = coverage._Kernel(scenario, len(positions), x.size)
-    reflected, dead = kernel.reflected(np.array([_triple(p) for p in positions]), x, y)
+    kernel.reflected(np.array([_triple(p) for p in positions]), x, y)
+    reflected, dead = kernel.signal, kernel.dead
     assert reflected.shape == (3, len(users)) and not dead.any()
     served = 0
     for row, position in zip(reflected.tolist(), positions):
@@ -232,7 +239,8 @@ def test_scalar_api_agrees_with_kernels_on_full_lattices(mode):
             scenario, x, y, source.position, source.transmit_power, source.pathloss_exponent
         )
         kernel = coverage._Kernel(scenario, 1, x.size)
-        [reflected], _ = kernel.reflected(np.array([_triple(panel_position)]), x, y)
+        kernel.reflected(np.array([_triple(panel_position)]), x, y)
+        [reflected] = kernel.signal
         for k, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
             user = Position3D(px, py, scenario.user_height)
             link = ConventionalLink(
