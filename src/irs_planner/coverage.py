@@ -24,9 +24,10 @@ Every SINR value comes from one loop, _sinr_batches.  Per block of
 points it computes interference plus noise once, scores the serving
 rows in batches of at most _CHUNK_ELEMENTS elements through one kernel,
 _Kernel, whose named row buffers every batch reuses, and it warns at
-most once per call about points on a transmitter.  A map is row 0 over
-blocks of whole lattice rows (one row if a row is longer than
-_CHUNK_ELEMENTS), each a view of the kernel's signal row;
+most once per call about points on a transmitter, naming the first
+caller outside the package.  A map is row 0 over blocks of whole
+lattice rows (one row if a row is longer than _CHUNK_ELEMENTS), each a
+view of the kernel's signal row;
 sinr_map_conventional and sinr_map_irs copy the blocks into one SinrMap,
 and the command line writes each block as it comes, without a copy, so
 its memory does not grow with the lattice.  Cell-edge scoring is many
@@ -80,6 +81,7 @@ _VALUE_COLUMNS = 36
 _PAD = 0
 _MANTISSA = (1 << 52) - 1
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)  # 10**18 < 2**63
+_PACKAGE = __name__.partition(".")[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,12 +228,11 @@ class _Kernel:
     (rows, points) buffers, so a batch allocates no array of its own size:
     the signal, then its dB; two scratch blocks; a spare block, which holds
     reflected's second hops and is free for _summarize once a batch is
-    scored; the dead and off masks; and one row each for the block's floor
-    and its points on a source.  A result holds until the next call that
-    writes its rows; floor works in signal row 0 and dead row 0, so it
-    comes before a batch's rows.  Each value is linkbudget's expression evaluated
-    elementwise in the same order, so it does not depend on the batch or
-    the buffer size.
+    scored; the dead and off masks; and one row each for the block's floor,
+    its points on a source and the floor's working power and mask.  A
+    result holds until the next call that writes its rows.  Each value is
+    linkbudget's expression evaluated elementwise in the same order, so it
+    does not depend on the batch or the buffer size.
     """
 
     def __init__(self, scenario: Scenario, rows: int, points: int) -> None:
@@ -242,8 +243,8 @@ class _Kernel:
         floats = np.empty((4, rows, points))
         self.signal, self.spare, self.scratch = floats[0], floats[1], floats[2:]
         self.dead, self.off = np.empty((2, rows, points), dtype=bool)
-        self.floor_power = np.empty(points)
-        self.floor_dead = np.empty(points, dtype=bool)
+        self.floor_power, self.floor_work = np.empty((2, points))
+        self.floor_dead, self.floor_mask = np.empty((2, points), dtype=bool)
 
     def power_law(
         self, x: np.ndarray, y: np.ndarray, tx: Position3D, power: float, alpha: float,
@@ -276,13 +277,12 @@ class _Kernel:
     def floor(self, x: np.ndarray, y: np.ndarray) -> None:
         """Interference plus noise into floor_power, and the points on a source into floor_dead.
 
-        Each source's power is worked out in signal row 0 and dead row 0,
-        which this overwrites, so it runs before a batch writes its rows.
-        A silent source adds +0.0 (NaN on it is masked to 0): no bit moves.
+        Each source's power is worked out in floor_work and floor_mask.  A
+        silent source adds +0.0 (NaN on it is masked to 0): no bit moves.
         """
         n = len(x)
         total, on_source = self.floor_power[:n], self.floor_dead[:n]
-        power, dead = self.signal[0, :n], self.dead[0, :n]
+        power, dead = self.floor_work[:n], self.floor_mask[:n]
         total.fill(0.0)
         on_source.fill(False)
         for s in self.scenario.interference_sources():
@@ -378,17 +378,21 @@ class _Kernel:
         return int(np.count_nonzero(dead))
 
 
-def _warn_dead(count: int, stacklevel: int) -> None:
+def _warn_dead(count: int) -> None:
     """Warn once about `count` points on a transmitter, if there are any.
 
-    `stacklevel` counts from the caller: 1 blames the caller itself.
+    The warning blames the innermost frame whose module lies outside this
+    package, so no helper frame inside it moves the blame.
     """
     if count:
+        frame, level = sys._getframe(1), 2
+        while frame and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{count} grid point(s) coincide with a transmitter; "
             "writing the -inf sentinel there",
             RuntimeWarning,
-            stacklevel=stacklevel + 1,
+            stacklevel=level,
         )
 
 
@@ -414,7 +418,6 @@ def _sinr_batches(
     direct: bool,
     positions: Sequence[Position3D],
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-    stacklevel: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """SINR in dB of each serving row over each block of points, batch by batch.
 
@@ -422,8 +425,6 @@ def _sinr_batches(
     `positions`, none on the base station.  No block in `blocks` is longer
     than the first.  Each batch yields its dB, shape (rows, points), and a
     spare float buffer of that shape: views that hold until the next batch.
-    `stacklevel` is _warn_dead's, counted from here: 2 blames the loop over
-    this generator.
     """
     panels = np.array([(p.x, p.y, p.z) for p in positions], dtype=np.float64).reshape(-1, 3)
     rows = direct + len(panels)
@@ -447,7 +448,7 @@ def _sinr_batches(
                 kernel.reflected(served, x, y, lead)
             dead_count += kernel.sinr_db(k, n)
             yield kernel.signal[:k, :n], kernel.spare[:k, :n]
-    _warn_dead(dead_count, stacklevel)
+    _warn_dead(dead_count)
 
 
 def _map_blocks(scenario: Scenario, irs: bool) -> Iterator[np.ndarray]:
@@ -464,15 +465,11 @@ def _map_blocks(scenario: Scenario, irs: bool) -> Iterator[np.ndarray]:
     positions = [scenario.panel.position] if irs else []
     if irs:
         _panel_hop(scenario, scenario.panel.position)
-    # the warning blames sinr_map_*'s caller or cli.run, past the generator
-    # below, _as_map or _csv_rows, and sinr_map_* or cli._write_output
-    batches = _sinr_batches(scenario, not irs, positions, blocks, stacklevel=5)
-    return (db[0] for db, _ in batches)
+    return (db[0] for db, _ in _sinr_batches(scenario, not irs, positions, blocks))
 
 
 def _as_map(scenario: Scenario, blocks: Iterator[np.ndarray]) -> SinrMap:
-    # each block is copied before the next overwrites it; map() puts no
-    # Python frame between _sinr_batches and the caller the warning blames
+    # each block is copied before the next overwrites it
     return SinrMap(
         extent=scenario.micro_extent,
         resolution=scenario.grid_resolution,
@@ -608,14 +605,12 @@ def _edge_rows(
 
     A position on the base station raises ValueError (_hops) before any
     scoring.  The perimeter is one block of _sinr_batches, so memory stays
-    bounded however many positions there are.  The one warning per call
-    blames the caller of the public scorer that calls this.
+    bounded however many positions there are.
     """
     _hops(scenario, positions)
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
     stats = []
-    # past _sinr_batches and this lie the public scorer, then its caller
-    for db, spare in _sinr_batches(scenario, direct, positions, [(x, y)], stacklevel=4):
+    for db, spare in _sinr_batches(scenario, direct, positions, [(x, y)]):
         stats.extend(_summarize(db, spare))
     return stats
 
@@ -811,8 +806,7 @@ def _csv_rows(
             line = chars[:taken].reshape(len(values), -1)
             end = v0 + _format_values(values, line[:, v0:])
             line[:, end] = ord("\n")
-            line[:, end + 1 :] = _PAD
-            yield line.tobytes().translate(None, bytes([_PAD])).decode("ascii")
+            yield line[:, : end + 1].tobytes().translate(None, bytes([_PAD])).decode("ascii")
 
 
 def map_to_csv(sinr_map: SinrMap) -> str:

@@ -141,6 +141,12 @@ class ConventionalLink:
         state["pathloss_exponent"] = pathloss_exponent
         state["_separation"] = separation
 
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled link; one pickled before it kept its separation computes it."""
+        self.__dict__.update(state)
+        if "_separation" not in state:
+            self.__dict__["_separation"] = distance(self.transmitter, self.receiver)
+
 
 @dataclass(frozen=True)
 class FixedAngles:

@@ -39,6 +39,8 @@ from irs_planner import (
 from irs_planner import coverage
 from irs_planner.cli import run
 
+from test_golden import MASKED_CANDIDATES, MASKED_CONFIG
+
 # at least one point of each lattice is on a panel placed at user height
 pytestmark = pytest.mark.filterwarnings("ignore:.*coincide with a transmitter:RuntimeWarning")
 
@@ -185,6 +187,46 @@ def test_compare_warns_once_for_both_models():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call()
+        assert [str(w.message) for w in caught] == [
+            "1 grid point(s) coincide with a transmitter; writing the -inf sentinel there"
+        ]
+        assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("command", ["compare", "map-conv", "map-irs", "sweep"])
+def test_the_command_line_warning_blames_the_caller_of_run(command, tmp_path):
+    # the macro station on a lattice corner; the sweep's last candidate is
+    # an edge point, so a second point is on a transmitter in its row
+    config = tmp_path / "masked.conf"
+    config.write_text(MASKED_CONFIG)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out.csv")]
+    if command == "sweep":
+        candidates = tmp_path / "candidates.csv"
+        candidates.write_text(MASKED_CANDIDATES)
+        argv += ["--candidates", str(candidates)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 0
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "coincide with a transmitter" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
+def test_a_helper_frame_inside_the_package_does_not_move_the_blame():
+    # a function whose module is named inside the package stands in for a
+    # helper frame between a public function and the caller it blames
+    scenario = parse_scenario("macro_bs_x = 0\nmacro_bs_y = 0\nmacro_bs_z = 1.5\n")
+    namespace = {"__name__": "irs_planner._probe"}
+    exec(compile("def probe(call, *args):\n    return call(*args)\n", "<probe>", "exec"), namespace)
+    probe = namespace["probe"]
+    panel = scenario.panel.position
+    for call, args in (
+        (sinr_map_irs, (scenario,)),
+        (optimize_placement, (scenario, ExplicitList((panel,)), Objective.EDGE_MIN)),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            probe(call, *args)
         assert [str(w.message) for w in caught] == [
             "1 grid point(s) coincide with a transmitter; writing the -inf sentinel there"
         ]

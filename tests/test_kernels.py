@@ -367,6 +367,23 @@ def _scored(call, monkeypatch):
     return result, np.concatenate(rows), [str(w.message) for w in caught]
 
 
+def test_floor_works_in_its_own_rows():
+    # the macro station on edge point 0, so the floor has a point on a source
+    scenario = _masked_scenario("tilted")
+    x, y = coverage._perimeter(scenario.micro_extent, scenario.grid_resolution)
+    kernel = coverage._Kernel(scenario, 2, x.size)
+    kernel.signal.fill(-7.5)
+    kernel.dead.fill(True)
+    kernel.floor(x, y)
+    assert (kernel.signal == -7.5).all() and kernel.dead.all()
+    [source] = scenario.interference_sources()
+    interference, on_source = _power_law(
+        scenario, x, y, source.position, source.transmit_power, source.pathloss_exponent
+    )
+    assert _hex(kernel.floor_power) == _hex(interference + scenario.env.noise_power)
+    assert kernel.floor_dead.tolist() == on_source.tolist() and on_source[0]
+
+
 # 64 edge points: one position per batch, batches of 4, 4 and 1, one batch
 CHUNKS = {"one element": 1, "partial last batch": 4 * 64, "default": 1 << 15}
 

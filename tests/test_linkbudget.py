@@ -492,6 +492,21 @@ class TestRecordReplace:
                 conventional_rx_power(link, ENV_130GHZ).hex()
             )
 
+    def test_a_link_pickled_before_it_kept_its_separation_loads(self):
+        link = ConventionalLink(1.0, Position3D(0, 0, 0), Position3D(3, 4, 7), 3.5)
+        before = copy.copy(link)
+        del before.__dict__["_separation"]
+        # a pickle holds the state without it, and loads through
+        # copyreg.__newobj__ and __setstate__
+        assert pickle.dumps(before).count(b"_separation") == 0
+        old = pickle.loads(pickle.dumps(before))
+        assert old == link and vars(old) == vars(link)
+        assert conventional_rx_power(old, ENV_130GHZ).hex() == (
+            conventional_rx_power(link, ENV_130GHZ).hex()
+        )
+        copied = pickle.loads(pickle.dumps(link))
+        assert vars(copied) == vars(link)
+
 
 class TestCascadeGainMemo:
     """A memoized gain gives what a fresh panel computes: the same bits and type."""
