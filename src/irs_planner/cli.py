@@ -194,7 +194,7 @@ def run(argv: list[str] | None = None) -> int:
         else:
             chunks = [_comparison_csv(compare_models(scenario, scenario.panel.position))]
         _write_output(chunks, args.out)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; of these only Python's is empty
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

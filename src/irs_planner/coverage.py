@@ -228,11 +228,11 @@ class _Kernel:
     (rows, points) buffers, so a batch allocates no array of its own size:
     the signal, then its dB; two scratch blocks; a spare block, which holds
     reflected's second hops and is free for _summarize once a batch is
-    scored; the dead and off masks; and one row each for the block's floor,
-    its points on a source and the floor's working power and mask.  A
-    result holds until the next call that writes its rows.  Each value is
-    linkbudget's expression evaluated elementwise in the same order, so it
-    does not depend on the batch or the buffer size.
+    scored; the dead and off masks; and one row each for the block's floor
+    and its points on the source.  A result holds until the next call that
+    writes its rows.  Each value is linkbudget's expression evaluated
+    elementwise in the same order, so it does not depend on the batch or
+    the buffer size.
     """
 
     def __init__(self, scenario: Scenario, rows: int, points: int) -> None:
@@ -243,8 +243,8 @@ class _Kernel:
         floats = np.empty((4, rows, points))
         self.signal, self.spare, self.scratch = floats[0], floats[1], floats[2:]
         self.dead, self.off = np.empty((2, rows, points), dtype=bool)
-        self.floor_power, self.floor_work = np.empty((2, points))
-        self.floor_dead, self.floor_mask = np.empty((2, points), dtype=bool)
+        self.floor_power = np.empty(points)
+        self.floor_dead = np.empty(points, dtype=bool)
 
     def power_law(
         self, x: np.ndarray, y: np.ndarray, tx: Position3D, power: float, alpha: float,
@@ -275,21 +275,12 @@ class _Kernel:
         np.copyto(d, 0.0, where=dead)
 
     def floor(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Interference plus noise into floor_power, and the points on a source into floor_dead.
-
-        Each source's power is worked out in floor_work and floor_mask.  A
-        silent source adds +0.0 (NaN on it is masked to 0): no bit moves.
-        """
+        """Interference plus noise into floor_power, the points on the source into floor_dead."""
         n = len(x)
-        total, on_source = self.floor_power[:n], self.floor_dead[:n]
-        power, dead = self.floor_work[:n], self.floor_mask[:n]
-        total.fill(0.0)
-        on_source.fill(False)
-        for s in self.scenario.interference_sources():
-            self.power_law(x, y, s.position, s.transmit_power, s.pathloss_exponent, power, dead)
-            total += power
-            on_source |= dead
-        total += self.scenario.env.noise_power
+        power, dead = self.floor_power[:n], self.floor_dead[:n]
+        [s] = self.scenario.interference_sources()
+        self.power_law(x, y, s.position, s.transmit_power, s.pathloss_exponent, power, dead)
+        power += self.scenario.env.noise_power
 
     def reflected(
         self, positions: np.ndarray, x: np.ndarray, y: np.ndarray, first: int = 0
@@ -498,8 +489,11 @@ def _lattice_index(sinr_map: SinrMap, xs: list[float], ys: list[float], point: P
     if point.z != sinr_map.user_height:
         raise ValueError("point height does not match the map's user height")
     extent = sinr_map.extent
-    i = round((point.x - extent.origin_x) / sinr_map.resolution)
-    j = round((point.y - extent.origin_y) / sinr_map.resolution)
+    try:
+        i = round((point.x - extent.origin_x) / sinr_map.resolution)
+        j = round((point.y - extent.origin_y) / sinr_map.resolution)
+    except OverflowError:  # an offset that overflows lies off every lattice
+        i = j = -1
     if not (0 <= i < len(xs) and 0 <= j < len(ys)):
         raise ValueError("point lies outside the map lattice")
     if xs[i] != point.x or ys[j] != point.y:

@@ -88,12 +88,12 @@ def _sweep_axis(origin: float, span: float, step: float) -> list[float]:
 
     The ticks are the map lattice's (coverage._axis).  A last tick that
     stands for the boundary, because it equals it or span / step is within
-    a few ulp of an integer, is replaced by the boundary; otherwise the
-    boundary is appended after it.
+    a few ulp of a positive integer, is replaced by the boundary; otherwise
+    the boundary is appended after it.
     """
     ticks = _axis(origin, span, step).tolist()
     far = origin + span
-    if ticks[-1] == far or _is_whole(span / step):
+    if ticks[-1] == far or (len(ticks) > 1 and _is_whole(span / step)):
         ticks[-1] = far
     else:
         ticks.append(far)

@@ -65,9 +65,9 @@ def interference_power(
 
     Each source contributes its direct-link received power with its own
     attenuation exponent.  The sum uses exact compensated summation so the
-    result does not depend on source ordering; the maps add sources with
-    `+`, which differs only with more than one source, and scenarios have
-    exactly one.  A source coincident with the user is a domain error.
+    result does not depend on source ordering.  The maps take the
+    scenario's one source.  A source coincident with the user is a domain
+    error.
     """
     contributions = []
     wl = env.wavelength

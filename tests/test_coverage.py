@@ -197,6 +197,10 @@ class TestEdgeStats:
         m = self.build_map([0.0] * 9)
         with pytest.raises(ValueError):
             edge_stats(m, [Position3D(5.0, 0.0, 1.5)])
+        # the point's offset from the origin overflows
+        far = self.build_map([0.0] * 9, extent=CellExtent(-1e308, 0, 2, 2))
+        with pytest.raises(ValueError, match="outside the map lattice"):
+            edge_stats(far, [Position3D(1e308, 0.0, 1.5)])
 
     def test_empty_edge_rejected(self):
         m = self.build_map([0.0] * 9)

@@ -367,9 +367,12 @@ def _scored(call, monkeypatch):
     return result, np.concatenate(rows), [str(w.message) for w in caught]
 
 
-def test_floor_works_in_its_own_rows():
+@pytest.mark.parametrize("silent", [False, True], ids=["macro", "silent"])
+def test_floor_works_in_its_own_rows(silent):
     # the macro station on edge point 0, so the floor has a point on a source
     scenario = _masked_scenario("tilted")
+    if silent:
+        scenario = replace(scenario, macro_bs=replace(scenario.macro_bs, transmit_power=0.0))
     x, y = coverage._perimeter(scenario.micro_extent, scenario.grid_resolution)
     kernel = coverage._Kernel(scenario, 2, x.size)
     kernel.signal.fill(-7.5)
@@ -382,6 +385,8 @@ def test_floor_works_in_its_own_rows():
     )
     assert _hex(kernel.floor_power) == _hex(interference + scenario.env.noise_power)
     assert kernel.floor_dead.tolist() == on_source.tolist() and on_source[0]
+    if silent:
+        assert _hex(kernel.floor_power) == _hex(np.full(x.size, scenario.env.noise_power))
 
 
 # 64 edge points: one position per batch, batches of 4, 4 and 1, one batch

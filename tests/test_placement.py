@@ -83,6 +83,7 @@ class TestSweepAxis:
     def test_a_step_that_does_not_divide_the_span_appends_the_boundary(self):
         assert self._axis(10.0, 3.0) == [0.0, 3.0, 6.0, 9.0, 10.0]
         assert self._axis(2.0, 4.0) == [0.0, 2.0]
+        assert self._axis(1e-300, 1e30) == [0.0, 1e-300]
 
     def test_steps_of_span_over_n(self):
         rng = random.Random(84)
