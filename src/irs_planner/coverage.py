@@ -1,8 +1,9 @@
 """Downlink SINR maps over a rectangular service area.
 
 This module and placement, which builds on it, are the package's numpy
-code; the service area, a scenario.CellExtent, is defined with the
-scenario so that the scalar API loads without numpy.
+code; the service area, a scenario.CellExtent, and the rule that admits
+a lattice over it, scenario._check_steps, are defined with the scenario,
+so that the scalar API and a scenario's own checks load without numpy.
 
 A map samples the user plane on a regular lattice: nx = floor(width /
 resolution) + 1 columns and ny = floor(depth / resolution) + 1 rows,
@@ -14,8 +15,10 @@ within a few ulp below an integer counts as that integer, so 0.3 / 0.1
 (2.9999999999999996 in floats) gives 4 columns and the last column lies
 on the far boundary, within one ulp, instead of a step inside it.  A
 resolution that leaves more than sys.maxsize steps along a side, or more
-than sys.maxsize lattice points, is a ValueError naming grid_resolution,
-raised before anything is allocated.  Values are SINR in dB with -inf as
+than sys.maxsize lattice points, or that is at most 2 ulp of the
+lattice's largest coordinate, so that two ticks could round to one
+double, is a ValueError naming grid_resolution, raised before anything
+is allocated.  Values are SINR in dB with -inf as
 the zero-signal sentinel; grid points that coincide with a transmitter
 get the sentinel and one warning per map rather than raising, so one
 degenerate point cannot abort a whole map.
@@ -63,14 +66,12 @@ from .linkbudget import (
     _panel_gain,
     distance,
 )
-from .scenario import CellExtent, Scenario
+from .scenario import CellExtent, Scenario, _check_resolution, _steps
 
 SENTINEL_DB = -math.inf
 # array elements per batch: panel positions scored on the cell edge, or
 # lattice points of a map block
 _CHUNK_ELEMENTS = 1 << 15
-# a lattice ratio this many ulp or fewer below an integer counts as it
-_SNAP_ULPS = 4
 # lattice points per sub-block of map text: _csv_rows formats whole rows,
 # at most this many points at a time (one row if a row is longer)
 _TEXT_ELEMENTS = 1 << 13
@@ -92,6 +93,11 @@ class SinrMap:
     resolution: float  # m
     user_height: float  # m
     values: np.ndarray  # flat float64, length nx * ny, row-major
+
+    def __post_init__(self) -> None:
+        nx, ny = grid_shape(self.extent, self.resolution)
+        if np.shape(self.values) != (nx * ny,):
+            raise ValueError(f"values must be a flat array of {nx} * {ny} lattice values")
 
     @property
     def nx(self) -> int:
@@ -124,39 +130,6 @@ class EdgeStats:
             raise ValueError("edge statistics must not be NaN")
         if not (self.min_db <= self.mean_db <= self.max_db):
             raise ValueError("edge statistics must satisfy min <= mean <= max")
-
-
-def _check_steps(extent: CellExtent, step: float, name: str) -> None:
-    """ValueError naming `name` if the lattice of `step` over the extent is too large.
-
-    That is more than sys.maxsize steps along a side, or more than
-    sys.maxsize points, and it is found from the extent alone, before any
-    array is made.
-    """
-    # also rejects an infinite ratio, which no step count can hold
-    if not max(extent.width, extent.depth) / step <= sys.maxsize:
-        raise ValueError(f"{name} {step!r} leaves more than {sys.maxsize} steps along a side")
-    if (_steps(extent.width, step) + 1) * (_steps(extent.depth, step) + 1) > sys.maxsize:
-        raise ValueError(f"{name} {step!r} leaves more than {sys.maxsize} lattice points")
-
-
-def _check_resolution(extent: CellExtent, resolution: float) -> None:
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError("grid_resolution must be positive")
-    if resolution > min(extent.width, extent.depth):
-        raise ValueError("grid_resolution must not exceed the extent dimensions")
-    _check_steps(extent, resolution, "grid_resolution")
-
-
-def _is_whole(ratio: float) -> bool:
-    """Whether a lattice ratio is within _SNAP_ULPS ulp of an integer."""
-    return abs(ratio - round(ratio)) <= _SNAP_ULPS * math.ulp(ratio)
-
-
-def _steps(length: float, resolution: float) -> int:
-    """Whole resolution steps in a length, snapping a ratio just below an integer up."""
-    ratio = length / resolution
-    return round(ratio) if _is_whole(ratio) else math.floor(ratio)
 
 
 def _axis(origin: float, length: float, step: float) -> np.ndarray:

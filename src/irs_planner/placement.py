@@ -5,6 +5,10 @@ position by a cell-edge statistic of the reflected-path SINR, and
 ranks candidates best-first.  Ties break by distance from the service
 area's ground center, then by coordinates, so rankings are total and
 reproducible.
+
+A grid sweep is admitted by the map lattice's rule, scenario._check_steps,
+and takes its ticks from the map's coverage._axis, adding the far
+boundary when the last tick falls short of it.
 """
 
 from __future__ import annotations
@@ -12,16 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coverage import (
-    EdgeStats,
-    _axis,
-    _check_steps,
-    _edge_rows,
-    _is_whole,
-    _panel_hop,
-)
+from .coverage import EdgeStats, _axis, _edge_rows, _panel_hop
 from .linkbudget import Position3D, distance
-from .scenario import CellExtent, Objective, Scenario
+from .scenario import CellExtent, Objective, Scenario, _check_steps, _is_whole
 
 
 @dataclass(frozen=True)
@@ -45,8 +42,6 @@ class GridSweep:
     height: float  # m
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("sweep step must be positive")
         _check_steps(self.extent, self.step, "sweep step")
         if not math.isfinite(self.height):
             raise ValueError("sweep height must be finite")

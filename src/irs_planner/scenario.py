@@ -12,14 +12,17 @@ with its default in dump order, and ``_VARIANTS`` maps each
 ``_db``/``_dbm``/``_deg`` key variant to the key it replaces and its
 conversion.  Parsing, the defaults and ``dump_scenario`` all read them.
 
-CellExtent, the cell rectangle, is defined here rather than in coverage,
-so this module, like linkbudget and sinr, imports no numpy.
+CellExtent, the cell rectangle, and the rule that admits a lattice over
+one (_check_steps) are defined here rather than in coverage, so this
+module, like linkbudget and sinr, imports no numpy, and a scenario checks
+its own map lattice when it is built.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
@@ -33,6 +36,9 @@ from .linkbudget import (
     db_to_linear,
 )
 from .sinr import InterferenceSource
+
+# a lattice ratio this many ulp or fewer below an integer counts as it
+_SNAP_ULPS = 4
 
 
 class Objective(enum.Enum):
@@ -74,6 +80,47 @@ class CellExtent:
         return (self.origin_x + self.width / 2.0, self.origin_y + self.depth / 2.0)
 
 
+def _is_whole(ratio: float) -> bool:
+    """Whether a lattice ratio is within _SNAP_ULPS ulp of an integer."""
+    return abs(ratio - round(ratio)) <= _SNAP_ULPS * math.ulp(ratio)
+
+
+def _steps(length: float, resolution: float) -> int:
+    """Whole resolution steps in a length, snapping a ratio just below an integer up."""
+    ratio = length / resolution
+    return round(ratio) if _is_whole(ratio) else math.floor(ratio)
+
+
+def _check_steps(extent: CellExtent, step: float, name: str) -> None:
+    """ValueError naming `name` unless `step` spans a lattice over the extent.
+
+    The ticks are origin + step * k, k = 0 .. n = _steps(side, step).  The
+    step must be finite and positive, leave at most sys.maxsize steps along
+    a side and as many points, and exceed 2 * ulp(M), M the largest of
+    |origin|, |origin + step * n| and step * n on either axis.  Then both
+    roundings of a tick, fl(origin + fl(step * k)), being monotone, stay
+    within M and err by ulp(M) / 2 at most: ticks differ by at least step - 2 * ulp(M) > 0.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"{name} must be positive")
+    # also rejects an infinite ratio, which no step count can hold
+    if not max(extent.width, extent.depth) / step <= sys.maxsize:
+        raise ValueError(f"{name} {step!r} leaves more than {sys.maxsize} steps along a side")
+    nx, ny = _steps(extent.width, step), _steps(extent.depth, step)
+    if (nx + 1) * (ny + 1) > sys.maxsize:
+        raise ValueError(f"{name} {step!r} leaves more than {sys.maxsize} lattice points")
+    ox, oy, sx, sy = extent.origin_x, extent.origin_y, step * nx, step * ny
+    largest = max(abs(ox), abs(ox + sx), sx, abs(oy), abs(oy + sy), sy)
+    if not step > 2 * math.ulp(largest):
+        raise ValueError(f"{name} {step!r} is at most 2 ulp of {largest!r}: ticks could merge")
+
+
+def _check_resolution(extent: CellExtent, resolution: float) -> None:
+    _check_steps(extent, resolution, "grid_resolution")
+    if resolution > min(extent.width, extent.depth):
+        raise ValueError("grid_resolution must not exceed the extent dimensions")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete two-tier planning scenario.
@@ -101,8 +148,7 @@ class Scenario:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive")
-        if not (math.isfinite(self.grid_resolution) and self.grid_resolution > 0):
-            raise ValueError("grid_resolution must be positive")
+        _check_resolution(self.micro_extent, self.grid_resolution)
         if not math.isfinite(self.user_height):
             raise ValueError("user_height must be finite")
         # G_sc is a factor of the cascade gain, so an infinite G_sc makes

@@ -144,6 +144,25 @@ class TestRuntimeErrors:
         assert err.startswith("error: grid_resolution ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["map-conv", "map-irs", "compare", "sweep"])
+    def test_ticks_that_round_onto_each_other_name_the_key(
+        self, command, candidates_path, tmp_path, capsys
+    ):
+        # a 2 m cell 1e20 m out: every 1e20 + 0.5 * k rounds to 1e20
+        path = tmp_path / "far.conf"
+        path.write_text(
+            "macro_origin_x = 1e20\nmicro_origin_x = 1e20\nmicro_width = 2\nmicro_depth = 2\n"
+            "micro_bs_x = 1e20\nmicro_bs_y = 1\nirs_x = 1e20\nirs_y = 1\ngrid_resolution = 0.5\n"
+        )
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--candidates", candidates_path]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_resolution ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 COMMANDS = ["map-conv", "map-irs", "compare", "sweep"]
 

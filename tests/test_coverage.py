@@ -98,6 +98,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="^grid_resolution "):
             build_grid(CellExtent(0, 0, 200, 200), fine, 1.5)
 
+    def test_ticks_that_round_onto_each_other_are_rejected(self):
+        # every x tick 1e20 + 0.5 * k rounds to 1e20
+        with pytest.raises(ValueError, match="^grid_resolution "):
+            build_grid(CellExtent(1e20, 0, 2, 2), 0.5, 1.5)
+
 
 class TestCellEdgePoints:
     def test_three_by_three_has_eight(self):
@@ -198,7 +203,7 @@ class TestEdgeStats:
         with pytest.raises(ValueError):
             edge_stats(m, [Position3D(5.0, 0.0, 1.5)])
         # the point's offset from the origin overflows
-        far = self.build_map([0.0] * 9, extent=CellExtent(-1e308, 0, 2, 2))
+        far = self.build_map([0.0] * 9, extent=CellExtent(-1e308, 0, 2e300, 2e300), res=1e300)
         with pytest.raises(ValueError, match="outside the map lattice"):
             edge_stats(far, [Position3D(1e308, 0.0, 1.5)])
 
@@ -206,6 +211,11 @@ class TestEdgeStats:
         m = self.build_map([0.0] * 9)
         with pytest.raises(ValueError):
             edge_stats(m, [])
+
+    @pytest.mark.parametrize("shape", [(5,), (10,), (3, 3), ()])
+    def test_values_must_fill_the_lattice(self, shape):
+        with pytest.raises(ValueError, match=r"^values must be a flat array of 3 \* 3 "):
+            self.build_map(np.zeros(shape))
 
 
 def scalar_conventional_db(scenario, point):

@@ -1,4 +1,4 @@
-"""The package and its scalar API load without numpy; the numpy names load on use."""
+"""The package, its scalar API and scenario checks run without numpy; numpy names load on use."""
 
 import json
 import math
@@ -23,10 +23,15 @@ conv = p.conventional_rx_power(
 irs = p.irs_rx_power(scenario.micro_power_irs, scenario.panel, bs, user, scenario.env)
 interference = p.interference_power(user, scenario.interference_sources(), scenario.env)
 sample = p.sinr(irs, interference, scenario.env.noise_power)
+try:
+    p.parse_scenario("grid_resolution = 300")
+except p.ConfigError as exc:
+    rejected = str(exc)
 print(json.dumps({
     "numpy": "numpy" in sys.modules,
     "lazy": sorted(m for m in ("irs_planner.coverage", "irs_planner.placement") if m in sys.modules),
     "values": [conv, irs, interference, sample.sinr_db],
+    "rejected": rejected,
 }))
 """
 
@@ -46,6 +51,8 @@ def test_scalar_api_runs_without_numpy():
     result = json.loads(proc.stdout)
     assert not result["numpy"]
     assert result["lazy"] == []
+    # the lattice rule lives with the scenario, so it runs without numpy
+    assert result["rejected"].startswith("grid_resolution ")
     assert all(math.isfinite(v) and v > 0 for v in result["values"][:3])
 
 

@@ -63,6 +63,10 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError, match="^sweep step .* steps along a side$"):
             GridSweep(CellExtent(0, 0, 200, 200), step, 5.0)
 
+    def test_ticks_that_round_onto_each_other_are_rejected(self):
+        # every x tick 1e20 + 0.5 * k rounds to 1e20
+        with pytest.raises(ValueError, match="^sweep step "):
+            GridSweep(CellExtent(1e20, 0, 1, 1), 0.5, 5.0)
 
 
 class TestSweepAxis:

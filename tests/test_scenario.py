@@ -1,6 +1,7 @@
 """Unit tests for scenario defaults and the config format."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -103,6 +104,12 @@ class TestParsing:
     def test_validation_error_names_field(self):
         with pytest.raises(ConfigError, match="grid_resolution"):
             parse_scenario("grid_resolution = -1\n")
+
+    def test_a_scenario_checks_its_own_lattice(self):
+        with pytest.raises(ConfigError, match="^grid_resolution must not exceed"):
+            parse_scenario("grid_resolution = 300")
+        with pytest.raises(ValueError, match="^grid_resolution 1e-12 leaves more than"):
+            replace(default_scenario(), grid_resolution=1e-12)
 
     def test_micro_cell_must_stay_inside_macro_cell(self):
         with pytest.raises(ConfigError, match="micro_extent"):
