@@ -98,20 +98,20 @@ class SinrMap:
         nx, ny = grid_shape(self.extent, self.resolution)
         if np.shape(self.values) != (nx * ny,):
             raise ValueError(f"values must be a flat array of {nx} * {ny} lattice values")
+        # the admitted lattice's dimensions, kept as attributes, not fields
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "ny", ny)
 
-    @property
-    def nx(self) -> int:
-        return grid_shape(self.extent, self.resolution)[0]
-
-    @property
-    def ny(self) -> int:
-        return grid_shape(self.extent, self.resolution)[1]
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled map; one pickled before it kept nx and ny admits its lattice."""
+        self.__dict__.update(state)
+        if "nx" not in state:
+            self.__post_init__()
 
     def value_at(self, i: int, j: int) -> float:
-        nx, ny = grid_shape(self.extent, self.resolution)
-        if not (0 <= i < nx and 0 <= j < ny):
+        if not (0 <= i < self.nx and 0 <= j < self.ny):
             raise ValueError("grid index out of range")
-        return float(self.values[j * nx + i])
+        return float(self.values[j * self.nx + i])
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,12 @@ class _Kernel:
     _sinr_batches makes one kernel per call and passes every batch
     through it.  Each ufunc writes with out= into row slices of named
     (rows, points) buffers, so a batch allocates no array of its own size:
-    the signal, then its dB; two scratch blocks; a spare block, which holds
-    reflected's second hops and is free for _summarize once a batch is
-    scored; the dead and off masks; and one row each for the block's floor
-    and its points on the source.  A result holds until the next call that
-    writes its rows.  Each value is linkbudget's expression evaluated
-    elementwise in the same order, so it does not depend on the batch or
-    the buffer size.
+    the signal, then its dB; two scratch blocks; a spare block for
+    reflected's second hops; the dead and off masks; and one row each for
+    the block's floor and its points on the source.  A result holds until
+    the next call that writes its rows.  Each value is linkbudget's
+    expression evaluated elementwise in the same order, so it does not
+    depend on the batch or the buffer size.
     """
 
     def __init__(self, scenario: Scenario, rows: int, points: int) -> None:
@@ -382,13 +381,13 @@ def _sinr_batches(
     direct: bool,
     positions: Sequence[Position3D],
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """SINR in dB of each serving row over each block of points, batch by batch.
 
     The rows are direct service if `direct`, then the panel at each of
     `positions`, none on the base station.  No block in `blocks` is longer
-    than the first.  Each batch yields its dB, shape (rows, points), and a
-    spare float buffer of that shape: views that hold until the next batch.
+    than the first.  Each batch yields its dB, shape (rows, points), a
+    view that holds until the next batch and that the caller may overwrite.
     """
     panels = np.array([(p.x, p.y, p.z) for p in positions], dtype=np.float64).reshape(-1, 3)
     rows = direct + len(panels)
@@ -411,7 +410,7 @@ def _sinr_batches(
             if len(served):
                 kernel.reflected(served, x, y, lead)
             dead_count += kernel.sinr_db(k, n)
-            yield kernel.signal[:k, :n], kernel.spare[:k, :n]
+            yield kernel.signal[:k, :n]
     _warn_dead(dead_count)
 
 
@@ -429,7 +428,7 @@ def _map_blocks(scenario: Scenario, irs: bool) -> Iterator[np.ndarray]:
     positions = [scenario.panel.position] if irs else []
     if irs:
         _panel_hop(scenario, scenario.panel.position)
-    return (db[0] for db, _ in _sinr_batches(scenario, not irs, positions, blocks))
+    return (db[0] for db in _sinr_batches(scenario, not irs, positions, blocks))
 
 
 def _as_map(scenario: Scenario, blocks: Iterator[np.ndarray]) -> SinrMap:
@@ -510,7 +509,7 @@ def _exact_row_sums(terms: np.ndarray) -> list[float]:
     return sums
 
 
-def _summarize(db: np.ndarray, terms: np.ndarray) -> list[EdgeStats]:
+def _summarize(db: np.ndarray) -> list[EdgeStats]:
     """Min, linear-domain mean and max of each row of SINR values in dB.
 
     The mean is the correctly rounded sum of 10 ** (v / 10) over a row,
@@ -518,14 +517,16 @@ def _summarize(db: np.ndarray, terms: np.ndarray) -> list[EdgeStats]:
     row holding +inf has a mean of +inf.  A finite row whose linear terms
     or their sum exceed the largest double raises ValueError: that takes
     values within 10 * log10(n) dB of 3082.5 dB, which only a noise power
-    near the bottom of the double range produces.  `terms` is a buffer
-    of db's shape, overwritten with the linear terms.
+    near the bottom of the double range produces.  `db` is overwritten
+    with the linear terms, once each row's min and max are taken.
     """
-    highs = db.max(axis=1)
+    n = db.shape[1]
+    lows, highs = db.min(axis=1), db.max(axis=1)
     # np.float_power's float64 loop calls libm's pow, as math.pow does;
     # np.power is vectorized (SVML with AVX-512) and differs in the last
     # bit on some inputs, which would change the output bytes
-    np.divide(db, 10.0, out=terms)
+    terms = db
+    terms /= 10.0
     with np.errstate(over="ignore"):
         np.float_power(10.0, terms, out=terms)
     # rows with +inf (or NaN) take their max as the mean and skip the sum
@@ -537,9 +538,8 @@ def _summarize(db: np.ndarray, terms: np.ndarray) -> list[EdgeStats]:
             "edge SINR too high for a linear-domain mean: 10 ** (SINR / 10) or its sum "
             "over the edge exceeds the largest double"
         ) from None
-    n = db.shape[1]
     stats = []
-    for low, high, total in zip(db.min(axis=1).tolist(), highs.tolist(), sums):
+    for low, high, total in zip(lows.tolist(), highs.tolist(), sums):
         mean_linear = total / n if high < math.inf else high
         mean_db = 10.0 * math.log10(mean_linear) if mean_linear > 0.0 else SENTINEL_DB
         # the dB round trip can drift by one ulp; keep the mean inside [min, max]
@@ -561,8 +561,7 @@ def edge_stats(sinr_map: SinrMap, edge: Sequence[Position3D]) -> EdgeStats:
         raise ValueError("edge point set must not be empty")
     xs, ys = (axis.tolist() for axis in _grid_axes(sinr_map.extent, sinr_map.resolution))
     index = [_lattice_index(sinr_map, xs, ys, p) for p in edge]
-    row = sinr_map.values[index][None, :]
-    return _summarize(row, np.empty_like(row))[0]
+    return _summarize(sinr_map.values[index][None, :])[0]
 
 
 def _edge_rows(
@@ -576,10 +575,8 @@ def _edge_rows(
     """
     _hops(scenario, positions)
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
-    stats = []
-    for db, spare in _sinr_batches(scenario, direct, positions, [(x, y)]):
-        stats.extend(_summarize(db, spare))
-    return stats
+    batches = _sinr_batches(scenario, direct, positions, [(x, y)])
+    return [s for db in batches for s in _summarize(db)]
 
 
 def edge_stats_direct(scenario: Scenario) -> EdgeStats:

@@ -216,14 +216,17 @@ def distance(a: Position3D, b: Position3D) -> float:
 def _power_law(power: float, separation: float, alpha: float, wl: float) -> float:
     """P * wl**2 / (D**alpha * 16 * pi**2) for a non-zero separation D.
 
-    A D**alpha beyond the largest double is an infinite path loss, so the
-    power is 0.0, as in the maps, where Python's ** raises OverflowError.
+    As in the maps, a D**alpha beyond the largest double is an infinite
+    path loss, so the power is 0.0, where Python's ** raises OverflowError,
+    and one that underflows to 0.0 is no loss, so the power is +inf, where
+    Python's / raises ZeroDivisionError.
     """
     try:
-        loss = separation ** alpha
+        return power * wl ** 2 / (separation ** alpha * 16.0 * _PI_SQUARED)
     except OverflowError:
         return 0.0
-    return power * wl ** 2 / (loss * 16.0 * _PI_SQUARED)
+    except ZeroDivisionError:
+        return math.inf
 
 
 def conventional_rx_power(link: ConventionalLink, env: RadioEnvironment) -> float:

@@ -171,17 +171,25 @@ def compare_models(scenario: Scenario, irs_position: Position3D) -> ComparisonRe
     at the reduced power with the panel at `irs_position`.  Both are
     summarized over the same cell-edge points, computed there only, in
     one pass that warns once about points on a transmitter, counting them
-    over both models.  A position on the base station raises ValueError.
+    over both models.  A position on the base station, or a reduced power
+    above the conventional one, raises ValueError before any scoring.
     """
     _panel_hop(scenario, irs_position)
+    conventional, irs = scenario.micro_power_conventional, scenario.micro_power_irs
+    fraction = 1.0 - irs / conventional
+    if not fraction >= 0.0:
+        raise ValueError(
+            f"micro_power_irs {irs!r} exceeds micro_power_conventional {conventional!r}, so "
+            "the power reduction would be negative"
+        )
     conventional_edge, irs_edge = _edge_rows(scenario, True, [irs_position])
     return ComparisonReport(
-        conventional_power=scenario.micro_power_conventional,
-        irs_power=scenario.micro_power_irs,
+        conventional_power=conventional,
+        irs_power=irs,
         irs_position=irs_position,
         conventional_edge=conventional_edge,
         irs_edge=irs_edge,
-        power_reduction_fraction=1.0 - scenario.micro_power_irs / scenario.micro_power_conventional,
+        power_reduction_fraction=fraction,
     )
 
 

@@ -100,6 +100,10 @@ def _check_steps(extent: CellExtent, step: float, name: str) -> None:
     |origin|, |origin + step * n| and step * n on either axis.  Then both
     roundings of a tick, fl(origin + fl(step * k)), being monotone, stay
     within M and err by ulp(M) / 2 at most: ticks differ by at least step - 2 * ulp(M) > 0.
+    Last, origin + side must differ from the origin on each axis: a sweep
+    step wider than a side that rounds away would put its far boundary
+    onto its origin.  The tick rule already rejects such a side at any
+    step up to its length.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"{name} must be positive")
@@ -113,6 +117,8 @@ def _check_steps(extent: CellExtent, step: float, name: str) -> None:
     largest = max(abs(ox), abs(ox + sx), sx, abs(oy), abs(oy + sy), sy)
     if not step > 2 * math.ulp(largest):
         raise ValueError(f"{name} {step!r} is at most 2 ulp of {largest!r}: ticks could merge")
+    if ox + extent.width == ox or oy + extent.depth == oy:
+        raise ValueError(f"{name} {step!r} spans an extent whose far side rounds onto its origin")
 
 
 def _check_resolution(extent: CellExtent, resolution: float) -> None:

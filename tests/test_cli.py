@@ -164,6 +164,28 @@ class TestRuntimeErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["compare", "map-irs", "sweep"])
+    def test_compare_checks_its_powers_by_their_keys(
+        self, command, candidates_path, tmp_path, capsys
+    ):
+        # only compare needs the reflected power below the conventional one
+        path = tmp_path / "louder.conf"
+        path.write_text(SMALL_CONFIG + "micro_power_irs = 20\n")
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--candidates", candidates_path]
+        if command != "compare":
+            assert run(argv) == 0 and out.exists()
+            return
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: micro_power_irs 20.0 exceeds micro_power_conventional 10.0, "
+            "so the power reduction would be negative\n"
+        )
+        assert not out.exists()
+
+
 COMMANDS = ["map-conv", "map-irs", "compare", "sweep"]
 
 

@@ -1,7 +1,9 @@
 """Unit tests for grid construction, SINR maps, and edge statistics."""
 
+import copy
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from irs_planner import (
     sinr_map_irs,
     with_panel_position,
 )
+from irs_planner import coverage
 
 
 def small_scenario(silent_macro=True, **overrides):
@@ -440,3 +443,45 @@ class TestMapCsv:
         m = sinr_map_conventional(scenario)
         with pytest.raises(ValueError):
             m.value_at(m.nx, 0)
+
+
+class TestSinrMap:
+    def test_a_map_keeps_the_lattice_it_admitted(self, monkeypatch):
+        m = SinrMap(CellExtent(0, 0, 3, 2), 1.0, 1.5, np.arange(12, dtype=np.float64))
+
+        def no_shape(*args):
+            raise AssertionError("the lattice was admitted again")
+
+        monkeypatch.setattr(coverage, "grid_shape", no_shape)
+        assert (m.nx, m.ny) == (4, 3)
+        assert m.value_at(3, 0) == 3.0 and m.value_at(1, 2) == 9.0
+        with pytest.raises(ValueError, match="^grid index out of range$"):
+            m.value_at(4, 0)
+        # replace builds a new map, which admits its lattice again
+        with pytest.raises(AssertionError, match="admitted again"):
+            replace(m, values=np.zeros(12))
+        monkeypatch.undo()
+        wider = replace(m, extent=CellExtent(0, 0, 5, 2), values=np.zeros(18))
+        assert (wider.nx, wider.ny) == (6, 3)
+        with pytest.raises(ValueError, match=r"^values must be a flat array of 6 \* 3 "):
+            replace(wider, values=np.zeros(12))
+
+    def test_kept_dimensions_are_not_fields(self):
+        m = SinrMap(CellExtent(0, 0, 3, 2), 1.0, 1.5, np.zeros(12))
+        assert [f.name for f in fields(m)] == ["extent", "resolution", "user_height", "values"]
+        assert repr(m).startswith("SinrMap(extent=CellExtent(")
+        assert "nx=" not in repr(m)
+        copied = pickle.loads(pickle.dumps(m))
+        assert (copied.nx, copied.ny) == (4, 3) and (copied.values == m.values).all()
+        with pytest.raises(FrozenInstanceError):
+            m.nx = 5
+
+    def test_a_map_pickled_before_it_kept_its_dimensions_loads(self):
+        m = SinrMap(CellExtent(0, 0, 3, 2), 1.0, 1.5, np.arange(12, dtype=np.float64))
+        before = copy.copy(m)
+        del before.__dict__["nx"], before.__dict__["ny"]
+        # a pickle holds the state without them, and loads through
+        # copyreg.__newobj__ and __setstate__
+        assert b"nx" not in pickle.dumps(before)
+        old = pickle.loads(pickle.dumps(before))
+        assert (old.nx, old.ny) == (4, 3) and old.value_at(1, 2) == 9.0

@@ -356,9 +356,9 @@ def _scored(call, monkeypatch):
     rows = []
     summarize = coverage._summarize
 
-    def record(db, terms):
+    def record(db):
         rows.append(db.copy())
-        return summarize(db, terms)
+        return summarize(db)
 
     monkeypatch.setattr(coverage, "_summarize", record)
     with warnings.catch_warnings(record=True) as caught:
@@ -439,9 +439,9 @@ def test_compare_scores_both_models_in_one_pass(mode, chunk, monkeypatch):
     summarized = []
     summarize = coverage._summarize
 
-    def record(db, terms):
+    def record(db):
         summarized.append(db.copy())
-        return summarize(db, terms)
+        return summarize(db)
 
     monkeypatch.setattr(coverage, "_summarize", record)
     for k, position in enumerate(_masked_positions(scenario)):

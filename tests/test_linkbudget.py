@@ -157,6 +157,31 @@ class TestConventionalRxPower:
             assert got.hex() == float(power[k]).hex() == (0.0).hex()
         assert (coverage.sinr_map_conventional(scenario).values == -math.inf).all()
 
+    @pytest.mark.parametrize(
+        "x, alpha", [(1e-120, 3.0), (1e-105, 3.0), (1e-90, 4.0), (1e-82, 4.0)]
+    )
+    def test_near_link_carries_infinite_power_as_the_maps_do(self, x, alpha):
+        # D ** alpha underflows to 0.0 (Python's / raised ZeroDivisionError),
+        # or the quotient overflows (1e-105 at 10 W); the kernel gives +inf
+        # at the lattice point next to the station, the origin
+        scenario = dataclasses.replace(
+            default_scenario(),
+            micro_bs_position=Position3D(x, 0.0, default_scenario().user_height),
+            env=dataclasses.replace(default_scenario().env, pathloss_exponent_micro=alpha),
+            grid_resolution=50.0,
+        )
+        px, py = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+        kernel = coverage._Kernel(scenario, 1, px.size)
+        power, dead = kernel.signal[0], kernel.dead[0]
+        bs = scenario.micro_bs_position
+        kernel.power_law(px, py, bs, scenario.micro_power_conventional, alpha, power, dead)
+        user = Position3D(float(px[0]), float(py[0]), scenario.user_height)
+        link = ConventionalLink(scenario.micro_power_conventional, bs, user, alpha)
+        got = conventional_rx_power(link, scenario.env)
+        assert got.hex() == float(power[0]).hex() == math.inf.hex()
+        assert not dead[0]
+        assert coverage.sinr_map_conventional(scenario).values[0] == math.inf
+
     def test_randomized_against_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

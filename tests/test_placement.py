@@ -22,7 +22,7 @@ from irs_planner import (
     ranking_to_csv,
     with_panel_position,
 )
-from irs_planner import coverage
+from irs_planner import coverage, placement
 
 from test_coverage import small_scenario
 
@@ -67,6 +67,18 @@ class TestEnumerateCandidates:
         # every x tick 1e20 + 0.5 * k rounds to 1e20
         with pytest.raises(ValueError, match="^sweep step "):
             GridSweep(CellExtent(1e20, 0, 1, 1), 0.5, 5.0)
+
+    def test_a_side_that_rounds_onto_its_origin_is_rejected(self):
+        # 1e20 + 1 == 1e20, so a step wider than the side would put the far
+        # boundary onto the origin and yield two candidates, not four corners
+        with pytest.raises(ValueError, match="^sweep step .* rounds onto its origin$"):
+            GridSweep(CellExtent(1e20, 0, 1, 1), 1e10, 5.0)
+        with pytest.raises(ValueError, match="^sweep step .* rounds onto its origin$"):
+            GridSweep(CellExtent(0, -1e20, 1, 1), 1e10, 5.0)
+        corners = enumerate_candidates(GridSweep(CellExtent(1e15, 0, 1, 1), 1e10, 5.0))
+        assert [(p.x, p.y) for p in corners] == [
+            (1e15, 0.0), (1e15 + 1, 0.0), (1e15, 1.0), (1e15 + 1, 1.0)
+        ]
 
 
 class TestSweepAxis:
@@ -235,6 +247,18 @@ class TestCompareModels:
         position = Position3D(10.0, 10.0, 6.0)
         report = compare_models(scenario, position)
         assert report.power_reduction_fraction == 0.0
+
+    def test_reflected_power_above_conventional_rejected_before_scoring(self, monkeypatch):
+        scenario = small_scenario(micro_power_conventional=2.0, micro_power_irs=20.0)
+
+        def no_scoring(*args):
+            raise AssertionError("scored before the powers were checked")
+
+        monkeypatch.setattr(placement, "_edge_rows", no_scoring)
+        with pytest.raises(
+            ValueError, match="^micro_power_irs 20.0 exceeds micro_power_conventional 2.0, "
+        ):
+            compare_models(scenario, Position3D(10.0, 10.0, 6.0))
 
     def test_edges_cover_same_points(self):
         scenario = small_scenario(silent_macro=False)

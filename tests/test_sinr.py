@@ -104,6 +104,31 @@ class TestInterferencePower:
             got = interference_power(user, [source], scenario.env)
             assert got.hex() == float(power[k]).hex() == (0.0).hex()
 
+    @pytest.mark.parametrize("x", [1e-90, 1e-82])
+    def test_near_source_carries_infinite_power_as_the_maps_do(self, x):
+        # the default macro station's alpha is 4, so D ** 4 underflows to 0.0
+        # below about 1e-81 m (Python's / raised ZeroDivisionError); the
+        # kernel gives +inf at the lattice point next to the source, the origin
+        scenario = default_scenario()
+        scenario = dataclasses.replace(
+            scenario,
+            macro_bs=dataclasses.replace(
+                scenario.macro_bs, position=Position3D(x, 0.0, scenario.user_height)
+            ),
+            grid_resolution=50.0,
+        )
+        [source] = scenario.interference_sources()
+        px, py = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+        kernel = coverage._Kernel(scenario, 1, px.size)
+        power, dead = kernel.signal[0], kernel.dead[0]
+        kernel.power_law(
+            px, py, source.position, source.transmit_power, source.pathloss_exponent, power, dead
+        )
+        user = Position3D(float(px[0]), float(py[0]), scenario.user_height)
+        got = interference_power(user, [source], scenario.env)
+        assert got.hex() == float(power[0]).hex() == math.inf.hex()
+        assert not dead[0]
+
     def test_coincident_source_rejected(self):
         source = InterferenceSource(1.0, ORIGIN, 4.0)
         with pytest.raises(ValueError):
