@@ -39,7 +39,6 @@ from .scenario import (
     Scenario,
     default_scenario,
     load_scenario,
-    with_panel_position,
 )
 
 
@@ -75,18 +74,20 @@ def _read_candidates(path: str) -> ExplicitList:
 
 
 def _build_scenario(args: argparse.Namespace) -> Scenario:
+    """The config's scenario with every flag's override applied in one admission."""
     scenario = load_scenario(args.config) if args.config else default_scenario()
+    changes: dict[str, object] = {}
     if args.resolution is not None:
         if not (math.isfinite(args.resolution) and args.resolution > 0):
             raise ConfigError("--resolution: grid_resolution must be positive")
-        scenario = replace(scenario, grid_resolution=args.resolution)
+        changes["grid_resolution"] = args.resolution
     if args.objective is not None:
-        scenario = replace(scenario, objective=Objective(args.objective))
+        changes["objective"] = Objective(args.objective)
     if args.bs is not None:
-        scenario = replace(scenario, micro_bs_position=_parse_position(args.bs, "--bs"))
+        changes["micro_bs_position"] = _parse_position(args.bs, "--bs")
     if getattr(args, "irs", None) is not None:
-        scenario = with_panel_position(scenario, _parse_position(args.irs, "--irs"))
-    return scenario
+        changes["panel"] = replace(scenario.panel, position=_parse_position(args.irs, "--irs"))
+    return replace(scenario, **changes) if changes else scenario
 
 
 def _write_output(chunks: Iterable[str], out: str | None) -> None:

@@ -43,8 +43,8 @@ points, each as one matrix of bytes (_csv_rows).  format_value (repr)
 defines the text of every number.  _format_values writes the same digits
 for a whole array of map values from exact integer arithmetic, and
 leaves to format_value the few values outside the range where it does
-so; sweep rankings and compare, which write a few numbers each, call
-format_value directly.
+so.  compare calls format_value for its few numbers, and sweep rankings
+write the same text, repr(float(v)), inline (placement.ranking_to_csv).
 """
 
 from __future__ import annotations
@@ -569,11 +569,11 @@ def _edge_rows(
 ) -> list[EdgeStats]:
     """Cell-edge statistics of direct service if `direct`, then of each panel position.
 
-    A position on the base station raises ValueError (_hops) before any
-    scoring.  The perimeter is one block of _sinr_batches, so memory stays
+    No position may lie on the base station: each public scorer checks its
+    positions once (_panel_hop or _hops) before it calls this, which checks
+    none.  The perimeter is one block of _sinr_batches, so memory stays
     bounded however many positions there are.
     """
-    _hops(scenario, positions)
     x, y = _perimeter(scenario.micro_extent, scenario.grid_resolution)
     batches = _sinr_batches(scenario, direct, positions, [(x, y)])
     return [s for db in batches for s in _summarize(db)]
@@ -598,9 +598,12 @@ def edge_stats_reflected(
     with the panel moved to that position, but only the perimeter is
     computed, in bounded batches (_edge_rows).  Perimeter points on a
     transmitter get the sentinel and one warning per call, counting them
-    over all positions.  A position on the base station raises
-    ValueError before any scoring.
+    over all positions.  This is where a sweep's positions are checked:
+    one on the base station raises ValueError naming the first such
+    candidate (_hops) before any scoring, and placement.optimize_placement
+    scores through this function.
     """
+    _hops(scenario, positions)
     return _edge_rows(scenario, False, positions)
 
 

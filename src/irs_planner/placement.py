@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coverage import EdgeStats, _axis, _edge_rows, _panel_hop
+from .coverage import EdgeStats, _axis, _edge_rows, _panel_hop, edge_stats_reflected
 from .linkbudget import Position3D, distance
 from .scenario import CellExtent, Objective, Scenario, _check_steps, _is_whole
 
@@ -108,16 +108,9 @@ def enumerate_candidates(spec: CandidateSpec) -> list[Position3D]:
     return [Position3D(x, y, spec.height) for y in ys for x in xs]
 
 
-def _objective_value(stats: EdgeStats, objective: Objective) -> float:
-    return stats.min_db if objective is Objective.EDGE_MIN else stats.mean_db
-
-
 def _result(position: Position3D, stats: EdgeStats, objective: Objective) -> PlacementResult:
-    return PlacementResult(
-        irs_position=position,
-        objective_db=_objective_value(stats, objective),
-        edge=stats,
-    )
+    value = stats.min_db if objective is Objective.EDGE_MIN else stats.mean_db
+    return PlacementResult(irs_position=position, objective_db=value, edge=stats)
 
 
 def evaluate_placement(
@@ -146,7 +139,7 @@ def optimize_placement(
     center, then by (x, y, z).
     """
     candidates = enumerate_candidates(spec)
-    stats = _edge_rows(scenario, False, candidates)
+    stats = edge_stats_reflected(scenario, candidates)
     results = [_result(c, s, objective) for c, s in zip(candidates, stats)]
     cx, cy = scenario.micro_extent.center()
     center = Position3D(cx, cy, 0.0)

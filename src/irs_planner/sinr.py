@@ -88,17 +88,20 @@ def interference_power(
 def sinr(signal_power: float, interference: float, noise_power: float) -> SinrSample:
     """Form a SINR sample from linear powers in watts.
 
-    Signal and interference must be finite and non-negative and noise
-    finite and positive, which keeps the ratio finite.  sinr_db is the dB image of
-    sinr_linear, with zero signal mapped to -inf.
+    Signal and interference must be non-negative and not NaN, and noise
+    finite and positive.  sinr_db is the dB image of sinr_linear, with zero
+    signal mapped to -inf.  A link too short for its path loss to be a
+    double carries +inf W, and the maps write what this gives there: an
+    infinite signal +inf dB, an infinite interference (which drowns any
+    signal, sinr_linear 0.0) the -inf sentinel.
     """
-    # chained comparisons: NaN and +-inf fail them as they fail isfinite
-    if not 0.0 <= signal_power < math.inf:
-        raise ValueError("signal_power must be finite and non-negative")
-    if not 0.0 <= interference < math.inf:
-        raise ValueError("interference power must be finite and non-negative")
+    # NaN fails every comparison; the chained one also rejects +inf noise
+    if not signal_power >= 0.0:
+        raise ValueError("signal_power must be non-negative and not NaN")
+    if not interference >= 0.0:
+        raise ValueError("interference power must be non-negative and not NaN")
     if not 0.0 < noise_power < math.inf:
         raise ValueError("noise_power must be finite and positive")
-    linear = signal_power / (interference + noise_power)
+    linear = signal_power / (interference + noise_power) if interference < math.inf else 0.0
     db = 10.0 * math.log10(linear) if linear > 0.0 else -math.inf
     return SinrSample(signal_power, interference, noise_power, linear, db)

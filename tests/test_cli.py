@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from irs_planner import cli
+from irs_planner import Objective, Scenario, cli
 from irs_planner.cli import build_parser, run
 
 # Small scenario so CLI runs stay fast: 11 x 11 grid points.
@@ -97,9 +99,11 @@ class TestRuntimeErrors:
         assert "base station" in err
 
     @pytest.mark.parametrize("command", ["compare", "map-irs"])
-    def test_panel_on_default_station(self, command, capsys):
-        assert run([command, "--irs", "100,100,5"]) == 1
+    def test_panel_on_default_station(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run([command, "--irs", "100,100,5", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: panel position coincides with the base station\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["noise_power_dbm", "irs_gain_tx_db", "irs_gain_rx_db"])
     def test_overflowing_db_value(self, key, tmp_path, capsys):
@@ -192,6 +196,65 @@ COMMANDS = ["map-conv", "map-irs", "compare", "sweep"]
 def _argv(command, config, out, candidates):
     argv = [command, "--config", config, "--out", out]
     return argv + ["--candidates", candidates] if command == "sweep" else argv
+
+
+class TestOverrides:
+    # each flag alone is bad; the error line is the one each flag gave when
+    # every override was admitted on its own (--irs on the station:
+    # TestRuntimeErrors.test_panel_on_default_station)
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--resolution", "-2", "--resolution: grid_resolution must be positive"),
+            ("--resolution", "30", "grid_resolution must not exceed the extent dimensions"),
+            ("--resolution", "1e-300",
+             f"grid_resolution 1e-300 leaves more than {sys.maxsize} steps along a side"),
+            ("--resolution", "1e-12",
+             f"grid_resolution 1e-12 leaves more than {sys.maxsize} lattice points"),
+            ("--bs", "1,2", "--bs: expected X,Y,Z"),
+            ("--bs", "1,2,x", "--bs: expected three numbers"),
+            ("--bs", "inf,10,5", "--bs: coordinates must be finite"),
+        ],
+        ids=["negative", "above extent", "too fine steps", "too fine points", "bs two",
+             "bs text", "bs inf"],
+    )
+    def test_one_bad_override_exits_1_with_its_line(
+        self, flag, value, message, command, config_path, candidates_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out.csv"
+        assert run(_argv(command, config_path, str(out), candidates_path) + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--resolution", "5", "--objective", "mean", "--irs", "100,90,6",
+             "--bs", "90,100,5"],
+            ["sweep", "--config", "CONFIG", "--objective", "mean", "--bs", "4,4,5",
+             "--candidates", "CANDIDATES"],
+        ],
+        ids=["compare", "sweep"],
+    )
+    def test_a_command_admits_two_scenarios(
+        self, argv, config_path, candidates_path, tmp_path, monkeypatch
+    ):
+        admitted = []
+        admit = Scenario.__post_init__
+
+        def counted(scenario):
+            admit(scenario)
+            admitted.append(scenario)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counted)
+        paths = {"CONFIG": config_path, "CANDIDATES": candidates_path}
+        out = tmp_path / "out.csv"
+        assert run([paths.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 0
+        assert len(admitted) == 2
+        base, overridden = admitted
+        assert overridden.objective is Objective.EDGE_MEAN != base.objective
+        assert overridden.micro_bs_position != base.micro_bs_position
 
 
 class TestExtremeValues:

@@ -36,7 +36,7 @@ from irs_planner import (
     sinr_map_irs,
     with_panel_position,
 )
-from irs_planner import coverage
+from irs_planner import coverage, placement
 from irs_planner.cli import run
 
 from test_golden import MASKED_CANDIDATES, MASKED_CONFIG
@@ -241,6 +241,66 @@ def test_compare_rejects_a_panel_on_the_station():
     scenario = default_scenario()
     with pytest.raises(ValueError, match="^panel position coincides with the base station$"):
         compare_models(scenario, scenario.micro_bs_position)
+
+
+_ON_STATION = "^panel position coincides with the base station$"
+_SECOND_ON_STATION = (
+    r"^candidate 1 \(counting from 0\) at \(100\.0, 100\.0, 5\.0\) "
+    "coincides with the base station$"
+)
+# each public scorer with one or two panel positions and the message it
+# gives when the last lies on the default station
+_SCORERS = {
+    "compare_models": (lambda s, ps: compare_models(s, ps[-1]), _ON_STATION),
+    "evaluate_placement": (
+        lambda s, ps: evaluate_placement(s, ps[-1], Objective.EDGE_MIN), _ON_STATION
+    ),
+    "optimize_placement": (
+        lambda s, ps: optimize_placement(s, ExplicitList(ps), Objective.EDGE_MIN),
+        _SECOND_ON_STATION,
+    ),
+    "edge_stats_reflected": (coverage.edge_stats_reflected, _SECOND_ON_STATION),
+    "sinr_map_irs": (lambda s, ps: sinr_map_irs(with_panel_position(s, ps[-1])), _ON_STATION),
+}
+
+
+class _NoKernel:
+    def __init__(self, *args):
+        raise AssertionError("a kernel was built")
+
+
+@pytest.mark.parametrize("name", _SCORERS)
+def test_each_scorer_rejects_a_station_position_before_any_kernel(name, monkeypatch):
+    score, message = _SCORERS[name]
+    scenario = default_scenario()
+    monkeypatch.setattr(coverage, "_Kernel", _NoKernel)
+    with pytest.raises(ValueError, match=message):
+        score(scenario, (Position3D(100.0, 90.0, 6.0), scenario.micro_bs_position))
+
+
+@pytest.mark.parametrize("name", _SCORERS)
+def test_each_scorer_checks_its_positions_once(name, monkeypatch):
+    checks = []
+
+    def counted(check):
+        def counting(*args):
+            checks.append(args)
+            return check(*args)
+
+        return counting
+
+    for module, hop in [(coverage, "_hops"), (coverage, "_panel_hop"), (placement, "_panel_hop")]:
+        monkeypatch.setattr(module, hop, counted(getattr(module, hop)))
+    scenario = replace(default_scenario(), grid_resolution=50.0)
+    _SCORERS[name][0](scenario, (Position3D(100.0, 90.0, 6.0), Position3D(90.0, 100.0, 6.0)))
+    assert len(checks) == 1
+
+
+def test_edge_rows_leaves_the_hop_rule_to_its_callers(monkeypatch):
+    monkeypatch.setattr(coverage, "_Kernel", _NoKernel)
+    scenario = default_scenario()
+    with pytest.raises(AssertionError, match="a kernel was built"):
+        coverage._edge_rows(scenario, False, [scenario.micro_bs_position])
 
 
 def test_points_behind_a_tilted_panel_match():

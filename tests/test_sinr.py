@@ -17,7 +17,9 @@ from irs_planner import (
     conventional_rx_power,
     default_scenario,
     interference_power,
+    parse_scenario,
     sinr,
+    sinr_map_conventional,
 )
 from irs_planner import coverage
 from oracles import hp_conventional_rx_power, rel_error
@@ -201,12 +203,48 @@ class TestSinr:
     @pytest.mark.parametrize(
         "signal,interference,noise",
         [(-1e-12, 0.0, 1e-12), (1e-12, -1e-13, 1e-12), (1e-12, 0.0, 0.0),
-         (1e-12, 0.0, -1e-12), (math.inf, 0.0, 1e-12), (math.nan, 0.0, 1e-12),
-         (1e-12, math.nan, 1e-12), (1e-12, 0.0, math.nan)],
+         (1e-12, 0.0, -1e-12), (-math.inf, 0.0, 1e-12), (math.nan, 0.0, 1e-12),
+         (1e-12, math.nan, 1e-12), (1e-12, 0.0, math.nan), (1e-12, -math.inf, 1e-12),
+         (1e-12, 0.0, math.inf)],
     )
     def test_domain_errors(self, signal, interference, noise):
-        with pytest.raises(ValueError, match="must be finite and"):
+        message = "must be (non-negative and not NaN|finite and positive)"
+        with pytest.raises(ValueError, match=message):
             sinr(signal, interference, noise)
+
+    @pytest.mark.parametrize(
+        "signal, interference, linear, db",
+        [(math.inf, 1e-11, math.inf, math.inf), (1e-9, math.inf, 0.0, -math.inf),
+         (math.inf, math.inf, 0.0, -math.inf)],
+    )
+    def test_infinite_powers(self, signal, interference, linear, db):
+        sample = sinr(signal, interference, 1e-12)
+        assert (sample.sinr_linear, sample.sinr_db) == (linear, db)
+        assert (sample.signal_power, sample.interference_power) == (signal, interference)
+
+    # a link shorter than about 1e-108 m (alpha 3) or 1e-81 m (alpha 4)
+    # carries +inf W; at the origin the map writes +inf dB for an infinite
+    # signal and the -inf sentinel for an infinite floor
+    @pytest.mark.parametrize(
+        "config, expected",
+        [("micro_bs_x = 1e-120\nmicro_bs_y = 0\nmicro_bs_z = 1.5\n", math.inf),
+         ("macro_bs_x = 1e-90\nmacro_bs_y = 0\nmacro_bs_z = 1.5\n", -math.inf)],
+        ids=["infinite signal", "infinite interference"],
+    )
+    def test_scalar_chain_matches_the_map_next_to_a_station(self, config, expected):
+        scenario = parse_scenario(config + "grid_resolution = 50\n")
+        user = Position3D(0.0, 0.0, scenario.user_height)
+        env = scenario.env
+        link = ConventionalLink(
+            scenario.micro_power_conventional, scenario.micro_bs_position, user,
+            env.pathloss_exponent_micro,
+        )
+        sample = sinr(
+            conventional_rx_power(link, env),
+            interference_power(user, scenario.interference_sources(), env),
+            env.noise_power,
+        )
+        assert sample.sinr_db == sinr_map_conventional(scenario).value_at(0, 0) == expected
 
     def test_monotone_in_signal(self):
         rng = np.random.default_rng(43)
