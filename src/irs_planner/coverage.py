@@ -202,11 +202,11 @@ class _Kernel:
     through it.  Each ufunc writes with out= into row slices of named
     (rows, points) buffers, so a batch allocates no array of its own size:
     the signal, then its dB; two scratch blocks; a spare block for
-    reflected's second hops; the dead and off masks; and one row each for
-    the block's floor and its points on the source.  A result holds until
-    the next call that writes its rows.  Each value is linkbudget's
-    expression evaluated elementwise in the same order, so it does not
-    depend on the batch or the buffer size.
+    reflected's second hops; the dead mask and sinr_db's off mask; and one
+    row each for the block's floor and its points on the source.  A
+    result holds until the next call that writes its rows.  Each value is
+    linkbudget's expression evaluated elementwise in the same order, so it
+    does not depend on the batch or the buffer size.
     """
 
     def __init__(self, scenario: Scenario, rows: int, points: int) -> None:
@@ -227,7 +227,9 @@ class _Kernel:
         """Power from one transmitter into `out`, zero on it, and the points on it into `dead`.
 
         P * wl**2 / (d**alpha * 16 * pi**2), with d from (dx*dx + dy*dy) +
-        dz*dz, in the order of linkbudget.conventional_rx_power.
+        dz*dz, in the order of linkbudget.conventional_rx_power (16 * pi**2
+        is one multiply, as in reflected).  Points on the transmitter get
+        zero, not x / 0, so that a floor there is exactly the noise power.
         """
         d, dy = out, self.scratch[0, 0, : len(x)]
         dz = self.scenario.user_height - tx.z
@@ -243,8 +245,7 @@ class _Kernel:
             np.sqrt(d, out=d)
             np.equal(d, 0.0, out=dead)
             d **= alpha  # the same fast paths as d ** alpha
-            d *= 16.0
-            d *= _PI_SQUARED
+            d *= 16.0 * _PI_SQUARED
             np.divide(power * self.scenario.env.wavelength ** 2, d, out=d)
         np.copyto(d, 0.0, where=dead)
 
@@ -265,13 +266,17 @@ class _Kernel:
         from `first` on are written.  Both hops are (dx*dx + dy*dy) + dz*dz
         and the power is gain * cos_t * cos_r / ((r1 * r2) * (r1 * r2) * 64
         * pi**3), left to right, as in linkbudget.irs_rx_power, so the two
-        agree bit for bit.  Geometric-mode panels zero out points behind the
-        surface.  The points on a panel go into the same rows of dead.
+        agree bit for bit (64 * pi**3 is one multiply: scaling by 64 is
+        exact, subnormals too, and where it overflows so does the product
+        with pi**3 > 1, so both round the same real number).  Both cosines
+        are clamped at zero, and a NaN passes; points on a panel, in the
+        same rows of dead, hold what x / 0 or 0 / 0 gives, and sinr_db
+        writes the sentinel there.
         """
         rows, n = slice(first, first + len(positions)), len(x)
         dx, r2 = self.signal[rows, :n], self.spare[rows, :n]
         dy, denominator = self.scratch[:, rows, :n]
-        dead, off = self.dead[rows, :n], self.off[rows, :n]
+        dead = self.dead[rows, :n]
         panel = self.scenario.panel
         bs = self.scenario.micro_bs_position
         gain = _panel_gain(self.scenario.micro_power_irs, panel, self.scenario.env.wavelength)
@@ -279,8 +284,7 @@ class _Kernel:
         px, py, pz = positions.T
         dz = (self.scenario.user_height - pz)[:, None]
         # a hop that overflows is infinitely long, so it carries zero power;
-        # a point on a panel divides by zero and is masked below, and NaN
-        # (an infinite gain times a zero cosine) gets the sentinel in sinr_db
+        # NaN (0 / 0 on a panel, or an overflowed offset) gets the sentinel
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bx, by, bz = bs.x - px, bs.y - py, bs.z - pz
             r1 = np.sqrt(bx * bx + by * by + bz * bz)
@@ -306,37 +310,32 @@ class _Kernel:
                 cos_r += dy
                 cos_r += dz * n2
                 cos_r /= r2
-                np.less(cos_r, 0.0, out=off)
-                off |= dead
-                np.copyto(cos_r, 0.0, where=off)
+                np.maximum(cos_r, 0.0, out=cos_r)
                 numerator = cos_r
                 numerator *= gain * cos_t  # (gain * cos_t) * cos_r
             np.multiply(r2, r1[:, None], out=denominator)
             denominator *= denominator
-            denominator *= 64.0
-            denominator *= _PI_CUBED
+            denominator *= 64.0 * _PI_CUBED
             signal = dx  # the numerator's buffer in geometric mode
             np.divide(numerator, denominator, out=signal)
-        np.copyto(signal, 0.0, where=dead)
 
     def sinr_db(self, rows: int, points: int) -> int:
         """SINR in dB in place of the first `rows` signal rows; returns the dead points.
 
-        The floor is the block's, from floor.  The sentinel goes where the
-        signal is zero and where dead or floor_dead holds.  dead is
-        overwritten.
+        The floor is the block's, from floor.  One masked write puts the
+        sentinel where the SINR is not above zero (or NaN) and where dead or
+        floor_dead holds, whatever the log gave there.  dead is overwritten.
         """
         linear = self.signal[:rows, :points]
         dead, off = self.dead[:rows, :points], self.off[:rows, :points]
         dead |= self.floor_dead[:points]
         # a noise power near the bottom of the double range overflows the
         # linear SINR to +inf, which becomes +inf dB on purpose
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(linear, self.floor_power[:points], out=linear)
             np.greater(linear, 0.0, out=off)
             np.logical_not(off, out=off)
             off |= dead
-            np.copyto(linear, 1.0, where=off)
             np.log10(linear, out=linear)
             linear *= 10.0
         np.copyto(linear, SENTINEL_DB, where=off)
@@ -636,21 +635,26 @@ def _format_values(values: np.ndarray, chars: np.ndarray) -> int:
     1990) that repr follows.  With v = M * 2**(e - 53) and 2**52 <= M <
     2**53, the integer part is M >> (53 - e), and the rest of v is R / S
     with R = 4 * M mod S and S = 2**(55 - e), so that half an ulp is 2.
-    Each step multiplies R by 10 and takes the next digit off it, and
-    multiplies the margin, which starts at half an ulp, by 10.  The digits
-    stop at the first step where they, or they with the last one raised,
-    lie within the margin of v (or on it when M is even, since
-    round-half-even reads that back as v).  Once a step stops, every later
-    one would.  The last digit is then rounded half to even on what is
-    left, R / S: if only one of the two candidates lies within the margin,
-    it is the nearer one.  In this range an ulp is at most 1/8, so the
-    integer part is never cut and the text is fixed-point, as repr writes
-    it, and every integer in the loop stays below 2**63.
+    Step k multiplies R by 10 and takes the next digit off it; the margin,
+    half an ulp at first, is then 2 * 10**k.  The digits stop at the first
+    step where they, or they with the last one raised, lie within the
+    margin of v: min(R, S - R) < 2 * 10**k.  Once a step stops, every
+    later one would.  The last digit is then rounded half to even on what
+    is left, R / S: if only one of the two candidates lies within the
+    margin, it is the nearer one.  In this range an ulp is at most 1/8, so
+    the integer part is never cut and the text is fixed-point, as repr
+    writes it, and every integer in the loop stays below 2**63.
 
-    Every -inf sentinel gets the text of one format_value call.  A raised
-    digit that would carry past 9 (the stop rule leaves none), and every
+    The stop never meets Steele & White's two edge cases.  A candidate on
+    the margin, where M's parity would decide, needs 2**(k+1) * 5**k * (2M
+    -+ 1) == 0 mod S, so k >= 54 - e, and then min(R, S - R) <= S / 2 <=
+    2**k lies below the margin.  A raised 9 needs S - R < 2 * 10**k, ten
+    times S - R a step before, which then had stopped; at k = 1, v would
+    lie within half an ulp of whole + 1, a double other than v.
+
+    Every -inf sentinel gets the text of one format_value call.  Every
     other value (zeros, subnormals, non-finite values, powers of two,
-    values outside the range), are written by format_value one by one.
+    values outside the range) is written by format_value one by one.
     The text is built one column per row of a scratch matrix, so that each
     step writes one contiguous row, and is copied into `chars` once.
     """
@@ -671,7 +675,6 @@ def _format_values(values: np.ndarray, chars: np.ndarray) -> int:
     mask = size - 1
     fraction = mantissa << 2
     fraction &= mask  # R
-    even = 1 - (mantissa & 1)
 
     # row c holds column c of the text: the sign, the integer digits
     # right-aligned, the point, then the fraction digits
@@ -689,7 +692,6 @@ def _format_values(values: np.ndarray, chars: np.ndarray) -> int:
 
     digits = text[point + 1 :]
     start = fraction.copy()
-    limit = np.empty_like(whole)
     gap = np.empty_like(whole)
     stop = np.zeros(n, dtype=bool)
     stopped = np.zeros(n, dtype=np.uint8)  # steps taken after the last digit
@@ -703,10 +705,9 @@ def _format_values(values: np.ndarray, chars: np.ndarray) -> int:
         digits[steps] += ord("0")
         np.copyto(digits[steps], _PAD, where=stop)
         fraction &= mask
-        np.add(even, margin, out=limit)
         np.subtract(size, fraction, out=gap)
         np.minimum(gap, fraction, out=gap)
-        np.less(gap, limit, out=stop)
+        np.less(gap, margin, out=stop)
         steps += 1
     count = steps - stopped.astype(np.int64)  # fraction digits of each value
 
@@ -724,7 +725,6 @@ def _format_values(values: np.ndarray, chars: np.ndarray) -> int:
     up |= (fraction == size) & ((last & 1) == 1)
     last += up
     digits.reshape(-1)[index] = last
-    fast &= last <= ord("9")
     width = point + 1 + steps
     chars[:, :width] = text[:width].T
 

@@ -4,14 +4,16 @@
 integers and hands the rest to `format_value` (repr).  Its text must equal
 `format_value`'s for every float: the edges of its range and their
 neighbours, powers of two, ties broken to the even digit, digits that end
-in 9s, short decimals, and about a million seeded SINR values.
+in 9s, short decimals, and about a million seeded SINR values.  The two
+cases its stop rule leaves out, a candidate on the margin and a raised 9,
+are shown not to arise with Python's exact integers.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irs_planner import coverage
@@ -72,6 +74,47 @@ def test_only_values_outside_the_range_reach_format_value(monkeypatch):
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_any_floats(values):
     _check(values)
+
+
+# v = M * 2**(e - 53) with 2**-4 <= v < 2**50 and M not a power of two.
+# Besides uniform draws, M lies next to its own ends, even and odd; with
+# e = -3 and e = 50 those are the range's ends and their neighbours.
+_RANGE_ENDS = [2**52 + 1, 2**52 + 2, 2**52 + 3, 2**53 - 3, 2**53 - 2, 2**53 - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-3, 50),
+    st.one_of(st.integers(2**52 + 1, 2**53 - 1), st.sampled_from(_RANGE_ENDS)),
+)
+@example(-3, 2**52 + 1)
+@example(-3, 2**52 + 2)
+@example(50, 2**53 - 2)
+@example(50, 2**53 - 1)
+def test_the_stop_rule_meets_no_tie_and_carries_no_nine(e, mantissa):
+    """Steele & White in Python ints, with R, S and the margin of _format_values.
+
+    No step up to the stop has min(R, S - R) equal to the margin, so the
+    parity of M never decides a stop, and no stop raises a 9; the digits
+    are format_value's.
+    """
+    size = 1 << (55 - e)  # S
+    fraction = 4 * mantissa % size  # R
+    margin = 2  # half an ulp
+    digits = []
+    while True:
+        digit, fraction = divmod(10 * fraction, size)
+        margin *= 10
+        digits.append(digit)
+        gap = min(fraction, size - fraction)
+        assert gap != margin
+        if gap < margin:
+            break
+    up = 2 * fraction > size or (2 * fraction == size and digit % 2 == 1)
+    assert not (up and digit == 9)
+    digits[-1] += up
+    text = f"{mantissa >> (53 - e)}." + "".join(map(str, digits))
+    assert text == format_value(math.ldexp(mantissa, e - 53))
 
 
 def test_special_values():
