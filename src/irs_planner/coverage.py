@@ -50,6 +50,7 @@ write the same text, repr(float(v)), inline (placement.ranking_to_csv).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -102,13 +103,8 @@ class SinrMap:
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "ny", ny)
 
-    def __setstate__(self, state: dict) -> None:
-        """Restore a pickled map; one pickled before it kept nx and ny admits its lattice."""
-        self.__dict__.update(state)
-        if "nx" not in state:
-            self.__post_init__()
-
     def value_at(self, i: int, j: int) -> float:
+        i, j = operator.index(i), operator.index(j)
         if not (0 <= i < self.nx and 0 <= j < self.ny):
             raise ValueError("grid index out of range")
         return float(self.values[j * self.nx + i])
@@ -175,11 +171,6 @@ def _lattice_rows(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """x and y of every point of the rows at ys, flat and row-major."""
     x, y = np.meshgrid(xs, ys)
     return x.reshape(-1), y.reshape(-1)
-
-
-def _lattice(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of every lattice point, flat and row-major."""
-    return _lattice_rows(*_grid_axes(extent, resolution))
 
 
 def _perimeter(extent: CellExtent, resolution: float) -> tuple[np.ndarray, np.ndarray]:

@@ -139,12 +139,6 @@ class ConventionalLink:
         state["pathloss_exponent"] = pathloss_exponent
         state["_separation"] = separation
 
-    def __setstate__(self, state: dict) -> None:
-        """Restore a pickled link; one pickled before it kept its separation computes it."""
-        self.__dict__.update(state)
-        if "_separation" not in state:
-            self.__dict__["_separation"] = distance(self.transmitter, self.receiver)
-
 
 @dataclass(frozen=True)
 class FixedAngles:
@@ -169,7 +163,7 @@ class GeometricAngles:
     def __post_init__(self) -> None:
         nx, ny, nz = self.normal
         norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails it
             raise ValueError("normal must be a unit vector")
 
 
@@ -188,7 +182,7 @@ class IrsPanel:
     angle_mode: FixedAngles | GeometricAngles
 
     def __post_init__(self) -> None:
-        if self.elements_m < 1 or self.elements_n < 1:
+        if not (self.elements_m >= 1 and self.elements_n >= 1):  # NaN fails it
             raise ValueError("element counts must be at least 1")
         if not (self.element_len_x > 0 and self.element_len_y > 0):
             raise ValueError("element dimensions must be positive")

@@ -1,6 +1,5 @@
 """Unit tests for grid construction, SINR maps, and edge statistics."""
 
-import copy
 import math
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
@@ -498,6 +497,15 @@ class TestSinrMap:
         with pytest.raises(ValueError, match=r"^values must be a flat array of 6 \* 3 "):
             replace(wider, values=np.zeros(12))
 
+    def test_value_at_takes_integer_indices(self):
+        m = SinrMap(CellExtent(0, 0, 4, 4), 1.0, 1.5, np.arange(25, dtype=np.float64))
+        for i in (1.5, 4.5):
+            with pytest.raises(TypeError):
+                m.value_at(i, 0)
+        assert m.value_at(np.int64(4), np.int64(1)) == 9.0
+        with pytest.raises(ValueError, match="^grid index out of range$"):
+            m.value_at(m.nx, 0)
+
     def test_kept_dimensions_are_not_fields(self):
         m = SinrMap(CellExtent(0, 0, 3, 2), 1.0, 1.5, np.zeros(12))
         assert [f.name for f in fields(m)] == ["extent", "resolution", "user_height", "values"]
@@ -507,13 +515,3 @@ class TestSinrMap:
         assert (copied.nx, copied.ny) == (4, 3) and (copied.values == m.values).all()
         with pytest.raises(FrozenInstanceError):
             m.nx = 5
-
-    def test_a_map_pickled_before_it_kept_its_dimensions_loads(self):
-        m = SinrMap(CellExtent(0, 0, 3, 2), 1.0, 1.5, np.arange(12, dtype=np.float64))
-        before = copy.copy(m)
-        del before.__dict__["nx"], before.__dict__["ny"]
-        # a pickle holds the state without them, and loads through
-        # copyreg.__newobj__ and __setstate__
-        assert b"nx" not in pickle.dumps(before)
-        old = pickle.loads(pickle.dumps(before))
-        assert (old.nx, old.ny) == (4, 3) and old.value_at(1, 2) == 9.0

@@ -147,7 +147,9 @@ def _hp_reflected(scenario, position, user):
 def test_kernels_match_extended_precision_oracle(seed, mode):
     scenario = _scenario(seed, mode, resolution=25.0)
     rng = random.Random(1000 + seed)
-    x, y = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+    x, y = coverage._lattice_rows(
+        *coverage._grid_axes(scenario.micro_extent, scenario.grid_resolution)
+    )
     users = [(px, py, scenario.user_height) for px, py in zip(x.tolist(), y.tolist())]
     bs = _triple(scenario.micro_bs_position)
 
@@ -229,7 +231,9 @@ def test_scalar_api_agrees_with_kernels_on_full_lattices(mode):
         env = scenario.env
         bs = scenario.micro_bs_position
         panel_position = scenario.panel.position
-        x, y = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+        x, y = coverage._lattice_rows(
+            *coverage._grid_axes(scenario.micro_extent, scenario.grid_resolution)
+        )
         direct, _ = _power_law(
             scenario, x, y, bs, scenario.micro_power_conventional, env.pathloss_exponent_micro
         )
@@ -472,7 +476,9 @@ def test_maps_in_one_row_blocks_equal_the_whole_map(mode, monkeypatch):
     # each block is a copy: views of the kernel's reused buffers would all
     # hold the last block's values once the map joins them
     scenario = _masked_scenario(mode)
-    x, y = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+    x, y = coverage._lattice_rows(
+        *coverage._grid_axes(scenario.micro_extent, scenario.grid_resolution)
+    )
     maps = (coverage.sinr_map_irs, coverage.sinr_map_conventional)
     whole = [f(scenario).values for f in maps]
     assert _hex(whole[0]) == _hex(_written_out_db(scenario, [scenario.panel.position], x, y))

@@ -64,7 +64,7 @@ def _lattices(draw):
 @example((CellExtent(-1.0, 2.5, 7.2, 0.3), 0.1, False))
 def test_outputs_agree_on_the_lattice(lattice):
     extent, resolution, whole = lattice
-    x, y = coverage._lattice(extent, resolution)
+    x, y = coverage._lattice_rows(*coverage._grid_axes(extent, resolution))
     expected = _hex(x, y)
 
     grid = build_grid(extent, resolution, _USER_HEIGHT)

@@ -95,7 +95,9 @@ class TestInterferencePower:
             grid_resolution=50.0,
         )
         [source] = scenario.interference_sources()
-        px, py = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+        px, py = coverage._lattice_rows(
+            *coverage._grid_axes(scenario.micro_extent, scenario.grid_resolution)
+        )
         kernel = coverage._Kernel(scenario, 1, px.size)
         power, dead = kernel.signal[0], kernel.dead[0]
         kernel.power_law(
@@ -120,7 +122,9 @@ class TestInterferencePower:
             grid_resolution=50.0,
         )
         [source] = scenario.interference_sources()
-        px, py = coverage._lattice(scenario.micro_extent, scenario.grid_resolution)
+        px, py = coverage._lattice_rows(
+            *coverage._grid_axes(scenario.micro_extent, scenario.grid_resolution)
+        )
         kernel = coverage._Kernel(scenario, 1, px.size)
         power, dead = kernel.signal[0], kernel.dead[0]
         kernel.power_law(
